@@ -18,10 +18,11 @@
 //!
 //! The extra `kernel` subcommand (not part of `all`) runs the
 //! verification-kernel ablation — the pre-split materialise-then-compare
-//! reference against the row-major split-side kernel against the columnar
-//! lane-blocked kernel — plus a dominator-generation thread-scaling sweep
-//! and a fig3b-style scalability sweep; `--json PATH` writes the
-//! measurements in the committed `BENCH_kernel.json` baseline format.
+//! reference against the row-major split-side oracle against the
+//! production two-sided leg kernel — plus a dominator-generation
+//! thread-scaling sweep and a fig3b-style scalability sweep; `--json PATH`
+//! writes the measurements in the committed `BENCH_kernel.json` baseline
+//! format.
 //! The `delta` subcommand (also outside `all`) measures incremental
 //! maintenance (`maintain_append`) against a full recompute for append
 //! deltas of 1/16/256 rows on an anti-correlated workload; `--json PATH`
@@ -787,7 +788,8 @@ struct ScalabilityRow {
 }
 
 /// `kernel`: the verification-kernel ablation. Measures the pre-split
-/// materialise-then-compare reference against the split-side kernel on an
+/// materialise-then-compare reference, the split-side oracle and the
+/// production two-sided leg kernel on the same candidates of an
 /// anti-correlated workload (`n = 33000·scale`, the paper's Table 7 shape
 /// with the hostile distribution), then sweeps the fig3b scalability sizes
 /// with the grouping algorithm so wall-clock and the `ExecStats` kernel
@@ -798,7 +800,7 @@ fn kernel_figure(scale: f64) {
     let n = ((33_000f64 * scale).round() as usize).max(50);
     banner(
         "Kernel",
-        "split-side vs materialized verification",
+        "materialized vs split-side vs two-sided verification",
         &format!("anti-correlated d=7 a=2 k=11 g=10 n={n}"),
     );
     let params = PaperParams {
@@ -824,7 +826,7 @@ fn kernel_figure(scale: f64) {
     for (name, cost) in [
         ("materialized", cmp.materialized),
         ("split-side", cmp.split),
-        ("columnar", cmp.columnar),
+        ("two-sided", cmp.columnar),
     ] {
         println!(
             "    {:>14} {:>14} {:>16} {:>10} {:>9}",
@@ -837,7 +839,7 @@ fn kernel_figure(scale: f64) {
     }
     println!(
         "    split vs materialized: {:.2}x fewer attribute comparisons, {:.2}x \
-         wall-clock; columnar vs split: {:.2}x wall-clock \
+         wall-clock; two-sided vs split: {:.2}x wall-clock \
          ({} measured candidates, {} joined pairs)",
         cmp.attr_cmp_ratio(),
         cmp.speedup(),

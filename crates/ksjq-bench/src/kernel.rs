@@ -1,20 +1,23 @@
 //! The verification-kernel ablation: materialise-then-compare versus the
-//! split-side kernel versus the columnar lane-blocked kernel.
+//! split-side oracle versus the production two-sided leg kernel.
 //!
 //! `ksjq-core`'s verifier no longer builds joined tuples in its hot loop
 //! (see `ksjq_core::verify`); this module keeps a counted replica of the
 //! **pre-split** kernel — `cx.fill` into scratch, then an early-abandoning
 //! `k_dominates` over the full joined arity, target sets scanned in id
-//! order — plus the PR-4 row-major split kernel (`JoinedCheck`, now the
-//! oracle) and the production columnar kernel (`ColumnarCheck`), so the
-//! harness can measure exactly what each rewrite buys on a given workload
-//! and pin the numbers in a committed baseline (`BENCH_kernel.json`).
-//! [`measure_domgen_scaling`] covers the other half of the PR-5 work: the
-//! dominator-generation phase sharded over threads.
+//! order — plus the row-major split-side oracle (`JoinedCheck`, one-sided
+//! `τ(u′) ⋈ R2` / `R1 ⋈ τ(v′)` scans) and the production kernel
+//! ([`ksjq_core::verify_candidates`], two-sided `τ(u′) ⋈ τ(v′)` with per-leg
+//! memos — exactly the grouping algorithm's verification phase), so the
+//! harness can measure what each rewrite buys on a given workload and pin
+//! the numbers in a committed baseline (`BENCH_kernel.json`, where the
+//! production kernel keeps the `columnar` key).
+//! [`measure_domgen_scaling`] covers the dominator-generation phase
+//! sharded over threads.
 
 use crate::PaperParams;
 use ksjq_core::{
-    classify, precompute_target_sets, target_set, validate_k, Category, ColumnarCheck, Config,
+    classify, precompute_target_sets, target_set, validate_k, verify_candidates, Category, Config,
     JoinedCheck, TargetCache,
 };
 use ksjq_join::JoinContext;
@@ -50,11 +53,11 @@ pub struct KernelComparison {
     /// The pre-split reference: materialise each dominator, full-arity
     /// `k_dominates`.
     pub materialized: KernelCost,
-    /// The PR-4 row-major split-side kernel
-    /// (`ksjq_core::verify::JoinedCheck`, now the oracle).
+    /// The row-major split-side oracle (`ksjq_core::JoinedCheck`).
     pub split: KernelCost,
-    /// The columnar lane-blocked kernel
-    /// (`ksjq_core::verify::ColumnarCheck`, the production path).
+    /// The production two-sided leg kernel
+    /// ([`ksjq_core::verify_candidates`]); the field keeps its historical
+    /// name, which is also its `BENCH_kernel.json` key.
     pub columnar: KernelCost,
 }
 
@@ -70,8 +73,8 @@ impl KernelComparison {
         self.materialized.wall.as_secs_f64() / self.split.wall.as_secs_f64().max(1e-9)
     }
 
-    /// Wall-clock speedup of the columnar kernel over the split kernel —
-    /// the PR-5 headline number.
+    /// Wall-clock speedup of the production kernel over the split-side
+    /// oracle.
     pub fn columnar_speedup(&self) -> f64 {
         self.split.wall.as_secs_f64() / self.columnar.wall.as_secs_f64().max(1e-9)
     }
@@ -211,8 +214,8 @@ pub fn run_materialized(cx: &JoinContext<'_>, k: usize, cands: &[Candidate]) -> 
     }
 }
 
-/// The split-side sweep, exactly as the grouping algorithm's serial
-/// verification phase runs it.
+/// The split-side oracle sweep (`JoinedCheck`): one-sided `τ(u′) ⋈ R2`
+/// / `R1 ⋈ τ(v′)` scans over SFS-ordered target sets.
 pub fn run_split(cx: &JoinContext<'_>, k: usize, cands: &[Candidate]) -> KernelCost {
     let params = validate_k(cx, k).expect("benchmark k in range");
     let mut ltargets = TargetCache::new(cx.left(), params.k1_pp);
@@ -238,30 +241,24 @@ pub fn run_split(cx: &JoinContext<'_>, k: usize, cands: &[Candidate]) -> KernelC
     }
 }
 
-/// The columnar lane-blocked sweep (`ksjq_core::verify::ColumnarCheck`,
-/// the production verification path), driven over the identical
-/// candidates and SFS-ordered target sets as [`run_split`].
+/// The production verification sweep: the grouping algorithm's
+/// two-sided leg kernel ([`ksjq_core::verify_candidates`], serial) over
+/// the identical candidates as [`run_split`]. "Yes" candidates count as
+/// survivors unverified, as in the algorithm.
 pub fn run_columnar(cx: &JoinContext<'_>, k: usize, cands: &[Candidate]) -> KernelCost {
-    let params = validate_k(cx, k).expect("benchmark k in range");
-    let mut ltargets = TargetCache::new(cx.left(), params.k1_pp);
-    let mut rtargets = TargetCache::new(cx.right(), params.k2_pp);
-    let mut chk = ColumnarCheck::new(cx, k);
-    let mut survivors = 0usize;
+    let pairs: Vec<(u32, u32)> = cands
+        .iter()
+        .filter(|c| c.kind != Kind::Emit)
+        .map(|c| (c.u, c.v))
+        .collect();
+    let mut survivors = cands.len() - pairs.len();
     let t = Instant::now();
-    for cand in cands {
-        let dominated = match cand.kind {
-            Kind::Emit => false,
-            Kind::Left => chk.dominated_via_left(ltargets.get(cand.u), &cand.row),
-            Kind::Right => chk.dominated_via_right(rtargets.get(cand.v), &cand.row),
-        };
-        survivors += !dominated as usize;
-    }
-    let wall = t.elapsed();
-    let c = chk.counters();
+    let c = verify_candidates(cx, k, &pairs, 1, None, |_, _| survivors += 1)
+        .expect("benchmark k in range");
     KernelCost {
         dom_tests: c.dom_tests,
         attr_cmps: c.attr_cmps,
-        wall,
+        wall: t.elapsed(),
         survivors,
     }
 }
@@ -364,7 +361,7 @@ pub fn compare_verification_kernels_sampled(
     );
     assert_eq!(
         split.survivors, columnar.survivors,
-        "columnar kernel disagrees on {params:?}"
+        "production kernel disagrees on {params:?}"
     );
     KernelComparison {
         params: *params,

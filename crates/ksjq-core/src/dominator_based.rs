@@ -18,9 +18,7 @@ use crate::cancel::{check_deadline, Checkpoint};
 use crate::classify::classify_parallel;
 use crate::config::Config;
 use crate::error::CoreResult;
-use crate::grouping::{
-    absorb_counters, collect_candidates, record_tallies, require_strict_aggs, CheckKind,
-};
+use crate::grouping::{absorb_counters, collect_candidates, record_tallies, require_strict_aggs};
 use crate::output::{finish, KsjqOutput};
 use crate::params::validate_k;
 use crate::stats::ExecStats;
@@ -56,32 +54,32 @@ pub fn ksjq_dominator_based(
     let rtargets = precompute_target_sets(cx.right(), &cls.right, params.k2_pp, cfg.threads);
     stats.phases.dominator_gen = t.elapsed();
 
-    // Phase 3: candidate collection + joined rows ("join time").
+    // Phase 3: candidate collection ("join time").
     // SS⋈SS pairs are emitted directly only when Theorem 3 applies (a ≤ 1).
     let t = Instant::now();
     let verify_yes = params.a >= 2;
     let cands = collect_candidates(cx, &cls, verify_yes, &mut stats);
     stats.phases.join = t.elapsed();
 
-    // Phase 4: two-sided verification ("remaining").
+    // Phase 4: two-sided verification ("remaining"), each candidate's
+    // joined row filled into one scratch buffer.
     let t = Instant::now();
     let mut chk = ColumnarCheck::new(cx, k);
     let mut cp = Checkpoint::new(cfg.deadline);
-    let mut out = Vec::new();
-    for (i, &(u, v)) in cands.pairs.iter().enumerate() {
+    let mut row = vec![0.0; cx.d_joined()];
+    let mut out = cands.emit;
+    for &(u, v) in &cands.verify {
         cp.tick()?;
-        let dominated = match cands.kinds[i] {
-            CheckKind::Emit => false,
-            _ => chk.dominated_via_both(
-                ltargets[u as usize]
-                    .as_deref()
-                    .expect("non-NN candidate leg"),
-                rtargets[v as usize]
-                    .as_deref()
-                    .expect("non-NN candidate leg"),
-                cands.row(i),
-            ),
-        };
+        cx.fill(u, v, &mut row);
+        let dominated = chk.dominated_via_both(
+            ltargets[u as usize]
+                .as_deref()
+                .expect("non-NN candidate leg"),
+            rtargets[v as usize]
+                .as_deref()
+                .expect("non-NN candidate leg"),
+            &row,
+        );
         if !dominated {
             out.push((u, v));
         }

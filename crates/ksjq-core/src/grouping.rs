@@ -3,116 +3,86 @@
 //! 1. Classify both base relations into SS/SN/NN (the "grouping time"
 //!    component).
 //! 2. Emit `SS1 ⋈ SS2` pairs immediately (Table 5's "yes"); prune every
-//!    pair with an `NN` component without joining (Theorems 2/4).
-//! 3. Verify the "likely" pairs (`SS ⋈ SN` either way) against joins of
-//!    the SS leg's target set, and the "may be" pairs (`SN1 ⋈ SN2`)
-//!    against joins of the left leg's target set — a sound strengthening
-//!    of the paper's full `R1 ⋈ R2` scan, since any dominator's left leg
-//!    must pass the target filter (see [`crate::target`]).
+//!    pair with an `NN` component without joining (Theorems 2/4). The
+//!    remaining candidates are kept as leg-id pairs `(u′, v′)`; no joined
+//!    row is built (the "join time" component).
+//! 3. Verify the "likely" (`SS ⋈ SN` either way) and "may be"
+//!    (`SN1 ⋈ SN2`) candidates against `τ(u′) ⋈ τ(v′)` with the two-sided
+//!    leg kernel ([`crate::verify::verify_candidates`]). This is sound:
+//!    a k-dominator `u ⋈ v` is `≤` the candidate on at least `k` joined
+//!    positions, and the other leg plus the aggregates supply at most
+//!    `l_other + a` of them, so `u` and `v` each pass their side's target
+//!    filter. The filters count `≤`, so ties stay in; the verdict is the
+//!    exact "`≤` on `k`, `<` on one" test on merged counts. The paper
+//!    scans `τ ⋈ R` (or all of `R1 ⋈ R2` for "may be" pairs); filtering
+//!    both legs removes only pairs that cannot dominate. Each distinct
+//!    `τ(u′)` and `τ(v′)` is built once per execution.
 //!
 //! Deviation from the paper (documented in DESIGN.md §4.5): with two or
 //! more aggregate slots Theorem 3 does not hold, so the "yes" fast path is
 //! only taken when `a ≤ 1`; otherwise SS⋈SS pairs are verified like
-//! "likely" pairs.
+//! "likely" pairs. The two-sided argument above never uses the legs'
+//! classes, so it covers these pairs unchanged.
 
-use crate::cancel::Checkpoint;
 use crate::classify::{classify_parallel, Category, Classification};
 use crate::config::Config;
 use crate::error::{CoreError, CoreResult};
 use crate::output::{finish, KsjqOutput};
 use crate::params::validate_k;
 use crate::stats::ExecStats;
-use crate::target::TargetCache;
-use crate::verify::{CheckCounters, ColumnarCheck};
+use crate::verify::{verify_candidates, CheckCounters};
 use ksjq_join::JoinContext;
 use std::time::Instant;
 
-/// How a candidate pair gets verified.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum CheckKind {
-    /// Emit without verification ("yes", sound only when `a ≤ 1`).
-    Emit,
-    /// Verify against `τ(u′) ⋈ R2`.
-    LeftTarget,
-    /// Verify against `R1 ⋈ τ(v′)`.
-    RightTarget,
-}
-
-/// The candidate pairs of one execution, with their joined rows
-/// materialised (the "join time" component).
+/// The non-pruned pairs of one execution, by fate (the "join time"
+/// component). Candidates are leg ids only — no joined row is built.
 pub(crate) struct Candidates {
-    pub kinds: Vec<CheckKind>,
-    pub pairs: Vec<(u32, u32)>,
-    /// Row-major joined rows, aligned with `pairs`.
-    pub rows: Vec<f64>,
-    pub d: usize,
+    /// Emitted without verification ("yes", sound only when `a ≤ 1`).
+    pub emit: Vec<(u32, u32)>,
+    /// Verified two-sidedly against `τ(u′) ⋈ τ(v′)`.
+    pub verify: Vec<(u32, u32)>,
 }
 
-impl Candidates {
-    pub fn row(&self, i: usize) -> &[f64] {
-        &self.rows[i * self.d..(i + 1) * self.d]
-    }
-}
-
-/// Collect and materialise the non-pruned pairs, recording fate classes.
+/// Collect the non-pruned pairs, recording fate classes.
 ///
 /// `verify_yes` forces SS⋈SS pairs through verification instead of
-/// emitting them (needed when `a ≥ 2`, and by the dominator-based
-/// algorithm's two-sided checks).
+/// emitting them (needed when `a ≥ 2`).
 pub(crate) fn collect_candidates(
     cx: &JoinContext<'_>,
     cls: &Classification,
     verify_yes: bool,
     stats: &mut ExecStats,
 ) -> Candidates {
-    let d = cx.d_joined();
     let mut c = Candidates {
-        kinds: Vec::new(),
-        pairs: Vec::new(),
-        rows: Vec::new(),
-        d,
+        emit: Vec::new(),
+        verify: Vec::new(),
     };
-    let mut row = vec![0.0; d];
     for u in 0..cls.left.len() as u32 {
         let cu = cls.left[u as usize];
         if cu == Category::NN {
             continue;
         }
-        // The left-local segment is identical for every partner of `u`:
-        // fill it lazily once per tuple, not once per pair.
-        let mut left_filled = false;
         for &v in cx.right_partners(u) {
-            let kind = match (cu, cls.right[v as usize]) {
+            let list = match (cu, cls.right[v as usize]) {
                 (Category::SS, Category::SS) => {
                     stats.counts.yes_pairs += 1;
                     if verify_yes {
-                        CheckKind::LeftTarget
+                        &mut c.verify
                     } else {
-                        CheckKind::Emit
+                        &mut c.emit
                     }
                 }
-                (Category::SS, Category::SN) => {
+                (Category::SS, Category::SN) | (Category::SN, Category::SS) => {
                     stats.counts.likely_pairs += 1;
-                    CheckKind::LeftTarget
-                }
-                (Category::SN, Category::SS) => {
-                    stats.counts.likely_pairs += 1;
-                    CheckKind::RightTarget
+                    &mut c.verify
                 }
                 (Category::SN, Category::SN) => {
                     stats.counts.maybe_pairs += 1;
-                    CheckKind::LeftTarget
+                    &mut c.verify
                 }
                 _ => continue,
             };
-            if !left_filled {
-                cx.fill_left(u, &mut row);
-                left_filled = true;
-            }
-            cx.fill_rest(u, v, &mut row);
-            c.kinds.push(kind);
-            c.pairs.push((u, v));
-            c.rows.extend_from_slice(&row);
+            list.push((u, v));
         }
     }
     c
@@ -140,117 +110,76 @@ pub(crate) fn require_strict_aggs(cx: &JoinContext<'_>) -> CoreResult<()> {
     Ok(())
 }
 
+/// Phases 1–2 of Algorithm 2, shared by the batch and progressive
+/// drivers: classification ("grouping time", sharded over `cfg.threads`)
+/// and candidate collection ("join time").
+fn classify_and_collect(
+    cx: &JoinContext<'_>,
+    k: usize,
+    cfg: &Config,
+    stats: &mut ExecStats,
+) -> CoreResult<Candidates> {
+    let params = validate_k(cx, k)?;
+    require_strict_aggs(cx)?;
+    stats.counts.joined_pairs = cx.count_pairs();
+
+    let t = Instant::now();
+    let cls = classify_parallel(cx, &params, cfg.kdom, cfg.threads);
+    record_tallies(&cls, stats);
+    stats.phases.grouping = t.elapsed();
+
+    let t = Instant::now();
+    let cands = collect_candidates(cx, &cls, params.a >= 2, stats);
+    stats.phases.join = t.elapsed();
+    Ok(cands)
+}
+
 /// Run the grouping KSJQ algorithm (paper Algorithm 2), delivering each
 /// skyline tuple to `sink` as soon as it is confirmed.
 ///
 /// This is the progressiveness the paper's Sec. 6.1 motivates: "yes"
 /// pairs (`SS1 ⋈ SS2`, when Theorem 3 applies) are delivered right after
 /// classification — long before any verification work — and verified
-/// pairs stream out as their checks complete. The returned output is
-/// identical to [`ksjq_grouping`]'s (sorted); the sink sees the same set
-/// in confirmation order.
+/// pairs stream out as their checks complete (single-threaded, grouped by
+/// right leg). The returned output is identical to [`ksjq_grouping`]'s
+/// (sorted); the sink sees the same set in confirmation order.
 pub fn ksjq_grouping_progressive(
     cx: &JoinContext<'_>,
     k: usize,
     cfg: &Config,
     mut sink: impl FnMut(u32, u32),
 ) -> CoreResult<KsjqOutput> {
-    let params = validate_k(cx, k)?;
-    require_strict_aggs(cx)?;
     let mut stats = ExecStats::default();
-    stats.counts.joined_pairs = cx.count_pairs();
-
-    let t = Instant::now();
-    let cls = classify_parallel(cx, &params, cfg.kdom, cfg.threads);
-    record_tallies(&cls, &mut stats);
-    stats.phases.grouping = t.elapsed();
-
-    let t = Instant::now();
-    let verify_yes = params.a >= 2;
-    let cands = collect_candidates(cx, &cls, verify_yes, &mut stats);
-    // Emit the unconditional winners immediately.
-    for (i, &(u, v)) in cands.pairs.iter().enumerate() {
-        if cands.kinds[i] == CheckKind::Emit {
-            sink(u, v);
-        }
+    let Candidates { emit, verify } = classify_and_collect(cx, k, cfg, &mut stats)?;
+    for &(u, v) in &emit {
+        sink(u, v);
     }
-    stats.phases.join = t.elapsed();
 
     let t = Instant::now();
-    let mut ltargets = TargetCache::new(cx.left(), params.k1_pp);
-    let mut rtargets = TargetCache::new(cx.right(), params.k2_pp);
-    let mut chk = ColumnarCheck::new(cx, k);
-    let mut cp = Checkpoint::new(cfg.deadline);
-    let mut out = Vec::new();
-    for (i, &(u, v)) in cands.pairs.iter().enumerate() {
-        cp.tick()?;
-        let dominated = match cands.kinds[i] {
-            CheckKind::Emit => {
-                out.push((u, v)); // already delivered
-                continue;
-            }
-            CheckKind::LeftTarget => chk.dominated_via_left(ltargets.get(u), cands.row(i)),
-            CheckKind::RightTarget => chk.dominated_via_right(rtargets.get(v), cands.row(i)),
-        };
-        if !dominated {
-            sink(u, v);
-            out.push((u, v));
-        }
-    }
-    absorb_counters(&mut stats, chk.counters());
+    let mut out = emit;
+    let counters = verify_candidates(cx, k, &verify, 1, cfg.deadline, |u, v| {
+        sink(u, v);
+        out.push((u, v));
+    })?;
+    absorb_counters(&mut stats, counters);
     stats.phases.remaining = t.elapsed();
     Ok(finish(out, stats))
 }
 
 /// Run the grouping KSJQ algorithm (paper Algorithm 2).
 pub fn ksjq_grouping(cx: &JoinContext<'_>, k: usize, cfg: &Config) -> CoreResult<KsjqOutput> {
-    let params = validate_k(cx, k)?;
-    require_strict_aggs(cx)?;
     let mut stats = ExecStats::default();
-    stats.counts.joined_pairs = cx.count_pairs();
+    let Candidates { emit, verify } = classify_and_collect(cx, k, cfg, &mut stats)?;
 
-    // Phase 1: classification ("grouping time"); with cfg.threads > 1 the
-    // per-tuple SS/SN refinement shards over workers.
+    // Phase 3: two-sided verification ("remaining"); with cfg.threads > 1
+    // the leg sweeps and checks shard over workers (the paper's
+    // future-work extension, see crate::parallel).
     let t = Instant::now();
-    let cls = classify_parallel(cx, &params, cfg.kdom, cfg.threads);
-    record_tallies(&cls, &mut stats);
-    stats.phases.grouping = t.elapsed();
-
-    // Phase 2: candidate collection + joined-row construction ("join time").
-    let t = Instant::now();
-    let verify_yes = params.a >= 2;
-    let cands = collect_candidates(cx, &cls, verify_yes, &mut stats);
-    stats.phases.join = t.elapsed();
-
-    // Phase 3: verification ("remaining"); target sets are built lazily.
-    // With cfg.threads > 1 the candidates are verified by parallel workers
-    // (the paper's future-work extension, see crate::parallel).
-    let t = Instant::now();
-    let out = if cfg.threads > 1 {
-        let (out, counters) =
-            crate::parallel::verify_parallel(cx, k, &params, &cands, cfg.threads, cfg.deadline)?;
-        absorb_counters(&mut stats, counters);
-        out
-    } else {
-        let mut ltargets = TargetCache::new(cx.left(), params.k1_pp);
-        let mut rtargets = TargetCache::new(cx.right(), params.k2_pp);
-        let mut chk = ColumnarCheck::new(cx, k);
-        let mut cp = Checkpoint::new(cfg.deadline);
-        let mut out = Vec::new();
-        for (i, &(u, v)) in cands.pairs.iter().enumerate() {
-            cp.tick()?;
-            let dominated = match cands.kinds[i] {
-                CheckKind::Emit => false,
-                CheckKind::LeftTarget => chk.dominated_via_left(ltargets.get(u), cands.row(i)),
-                CheckKind::RightTarget => chk.dominated_via_right(rtargets.get(v), cands.row(i)),
-            };
-            if !dominated {
-                out.push((u, v));
-            }
-        }
-        absorb_counters(&mut stats, chk.counters());
-        out
-    };
+    let mut out = emit;
+    let counters = verify_candidates(cx, k, &verify, cfg.threads, cfg.deadline, |u, v| {
+        out.push((u, v))
+    })?;
+    absorb_counters(&mut stats, counters);
     stats.phases.remaining = t.elapsed();
     Ok(finish(out, stats))
 }

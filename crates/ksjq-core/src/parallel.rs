@@ -1,14 +1,15 @@
 //! Parallel candidate verification (the paper's future-work extension).
 //!
 //! The expensive phase of the grouping algorithm — verifying "likely" and
-//! "may be" candidates against target-set joins — is embarrassingly
-//! parallel: every candidate is checked independently against immutable
-//! relations. `verify_parallel` shards the candidate list over
-//! `threads` scoped workers, each with its own scratch state
-//! and target cache, and concatenates survivors in candidate order so the
-//! final output is identical to the serial path. Worker
-//! [`CheckCounters`] are summed, so `ExecStats` reports the same kernel
-//! work regardless of thread count.
+//! "may be" candidates with the two-sided leg kernel
+//! ([`crate::verify::verify_candidates`]) — is embarrassingly parallel:
+//! every candidate is checked independently against immutable relations.
+//! The kernel's shared left-leg index is built with its sweeps sharded
+//! over workers (`even_ranges`), and `verify_parallel` then hands
+//! every worker whole right legs, so each `τ(v′)` is still built exactly
+//! once. Worker [`CheckCounters`] are summed, so `ExecStats` reports the
+//! same kernel work regardless of thread count, and the survivors are
+//! concatenated in candidate order.
 //!
 //! The classification phase shards the same way — see
 //! [`crate::classify::classify_parallel`], which the algorithm drivers
@@ -17,94 +18,108 @@
 
 use crate::cancel::Checkpoint;
 use crate::error::CoreResult;
-use crate::grouping::{Candidates, CheckKind};
-use crate::params::KsjqParams;
-use crate::target::TargetCache;
-use crate::verify::{CheckCounters, ColumnarCheck, ColumnarLayout};
-use ksjq_join::JoinContext;
+use crate::verify::{CheckCounters, LegCheck, LegIndex};
+use std::ops::Range;
 use std::sync::atomic::AtomicBool;
 use std::time::Instant;
 
-/// Verify all candidates with `threads` workers; returns the surviving
-/// pairs in candidate order (identical to the serial verification) plus
-/// the summed kernel counters.
+/// Split `0..n` into at most `threads` contiguous, near-equal ranges.
+pub(crate) fn even_ranges(n: usize, threads: usize) -> Vec<Range<usize>> {
+    let chunk = n.div_ceil(threads.clamp(1, n.max(1))).max(1);
+    (0..n)
+        .step_by(chunk)
+        .map(|lo| lo..(lo + chunk).min(n))
+        .collect()
+}
+
+/// Run `work` on every range — on the calling thread when there is at
+/// most one, otherwise one scoped worker per range — and return the
+/// results in range order.
 ///
-/// With a `deadline`, every worker ticks a shared-flag
-/// [`Checkpoint`]: the first to observe expiry cancels its siblings, and
-/// the call returns [`CoreError::DeadlineExceeded`](crate::CoreError)
-/// after all workers have unwound cleanly.
+/// Workers share one cancellation flag for their
+/// [`Checkpoint::tick_shared`] calls: the first to observe an expired
+/// deadline cancels its siblings, and the call returns
+/// [`CoreError::DeadlineExceeded`](crate::CoreError) after all workers
+/// have unwound cleanly.
+pub(crate) fn run_ranges<T: Send>(
+    ranges: &[Range<usize>],
+    work: impl Fn(Range<usize>, &AtomicBool) -> CoreResult<T> + Sync,
+) -> CoreResult<Vec<T>> {
+    let cancelled = AtomicBool::new(false);
+    if ranges.len() <= 1 {
+        return ranges.iter().map(|r| work(r.clone(), &cancelled)).collect();
+    }
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = ranges
+            .iter()
+            .map(|r| {
+                let (work, cancelled) = (&work, &cancelled);
+                scope.spawn(move || work(r.clone(), cancelled))
+            })
+            .collect();
+        // Join every worker before reporting, so none outlives the call.
+        let results: Vec<_> = handles
+            .into_iter()
+            .map(|h| h.join().expect("verification worker panicked"))
+            .collect();
+        results.into_iter().collect()
+    })
+}
+
+/// [`even_ranges`] over `pairs` (grouped by right leg) with every cut
+/// moved forward to the next right-leg boundary, so no leg spans two
+/// ranges. Empty ranges are dropped.
+fn leg_ranges(pairs: &[(u32, u32)], threads: usize) -> Vec<Range<usize>> {
+    let mut ranges = Vec::new();
+    let mut start = 0;
+    for r in even_ranges(pairs.len(), threads) {
+        let mut end = r.end.max(start);
+        while end > 0 && end < pairs.len() && pairs[end].1 == pairs[end - 1].1 {
+            end += 1;
+        }
+        if end > start {
+            ranges.push(start..end);
+            start = end;
+        }
+    }
+    ranges
+}
+
+/// Verify `pairs` (grouped by right leg) with `threads` workers; returns
+/// the surviving pairs in candidate order plus the summed kernel counters.
+/// Shard boundaries never split a right leg ([`leg_ranges`]), so no
+/// `τ(v′)` is built twice.
 pub(crate) fn verify_parallel(
-    cx: &JoinContext<'_>,
-    k: usize,
-    params: &KsjqParams,
-    cands: &Candidates,
+    ix: &LegIndex<'_, '_>,
+    pairs: &[(u32, u32)],
     threads: usize,
     deadline: Option<Instant>,
 ) -> CoreResult<(Vec<(u32, u32)>, CheckCounters)> {
-    let n = cands.pairs.len();
-    if n == 0 {
-        return Ok((Vec::new(), CheckCounters::default()));
-    }
-    let threads = threads.min(n).max(1);
-    let chunk = n.div_ceil(threads);
-    // The permuted-column layout depends only on the join, not the
-    // worker: gather it once and let every verifier borrow it.
-    let layout = ColumnarLayout::new(cx);
-    let cancelled = AtomicBool::new(false);
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for t in 0..threads {
-            let lo = t * chunk;
-            let hi = ((t + 1) * chunk).min(n);
-            let layout = &layout;
-            let cancelled = &cancelled;
-            handles.push(scope.spawn(move || {
-                let mut ltargets = TargetCache::new(cx.left(), params.k1_pp);
-                let mut rtargets = TargetCache::new(cx.right(), params.k2_pp);
-                let mut chk = ColumnarCheck::with_layout(cx, k, layout);
-                let mut cp = Checkpoint::new(deadline);
-                let mut out = Vec::new();
-                for i in lo..hi {
-                    cp.tick_shared(cancelled)?;
-                    let (u, v) = cands.pairs[i];
-                    let dominated = match cands.kinds[i] {
-                        CheckKind::Emit => false,
-                        CheckKind::LeftTarget => {
-                            chk.dominated_via_left(ltargets.get(u), cands.row(i))
-                        }
-                        CheckKind::RightTarget => {
-                            chk.dominated_via_right(rtargets.get(v), cands.row(i))
-                        }
-                    };
-                    if !dominated {
-                        out.push((u, v));
-                    }
-                }
-                Ok((out, chk.counters()))
-            }));
-        }
-        let mut pairs = Vec::new();
-        let mut counters = CheckCounters::default();
-        let mut expired = None;
-        for h in handles {
-            match h.join().expect("verification worker panicked") {
-                Ok((out, c)) => {
-                    pairs.extend(out);
-                    counters.absorb(c);
-                }
-                Err(e) => expired = Some(e),
+    let ranges = leg_ranges(pairs, threads);
+    let parts = run_ranges(&ranges, |range, cancelled| {
+        let mut chk = LegCheck::new(ix);
+        let mut cp = Checkpoint::new(deadline);
+        let mut out = Vec::new();
+        for &(u, v) in &pairs[range] {
+            cp.tick_shared(cancelled)?;
+            if !chk.dominated(u, v) {
+                out.push((u, v));
             }
         }
-        match expired {
-            Some(e) => Err(e),
-            None => Ok((pairs, counters)),
-        }
-    })
+        Ok((out, chk.counters()))
+    })?;
+    let mut survivors = Vec::new();
+    let mut counters = CheckCounters::default();
+    for (out, c) in parts {
+        survivors.extend(out);
+        counters.absorb(c);
+    }
+    Ok((survivors, counters))
 }
 
 #[cfg(test)]
 mod tests {
+    use super::{even_ranges, leg_ranges};
     use crate::config::Config;
     use crate::grouping::ksjq_grouping;
     use ksjq_join::{JoinContext, JoinSpec};
@@ -130,6 +145,36 @@ mod tests {
             b.add_grouped(g, &row).unwrap();
         }
         b.build().unwrap()
+    }
+
+    #[test]
+    fn even_ranges_tile_the_input() {
+        assert_eq!(even_ranges(10, 3), vec![0..4, 4..8, 8..10]);
+        assert_eq!(even_ranges(2, 8), vec![0..1, 1..2]);
+        assert_eq!(even_ranges(5, 1), vec![0..5]);
+        assert!(even_ranges(0, 4).is_empty());
+    }
+
+    #[test]
+    fn leg_ranges_never_split_a_right_leg() {
+        // Right legs 0 ×4, 1 ×1, 2 ×3, 3 ×2.
+        let pairs: Vec<(u32, u32)> = [0, 0, 0, 0, 1, 2, 2, 2, 3, 3]
+            .iter()
+            .enumerate()
+            .map(|(u, &v)| (u as u32, v))
+            .collect();
+        for threads in 1..=12 {
+            let ranges = leg_ranges(&pairs, threads);
+            assert!(ranges.len() <= threads, "threads={threads}");
+            assert_eq!(ranges.first().unwrap().start, 0);
+            assert_eq!(ranges.last().unwrap().end, pairs.len());
+            for w in ranges.windows(2) {
+                assert_eq!(w[0].end, w[1].start, "threads={threads}");
+                assert_ne!(pairs[w[1].start].1, pairs[w[1].start - 1].1);
+            }
+        }
+        assert_eq!(leg_ranges(&pairs, 3), vec![0..4, 4..8, 8..10]);
+        assert!(leg_ranges(&[], 3).is_empty());
     }
 
     #[test]

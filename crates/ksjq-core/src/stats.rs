@@ -11,8 +11,8 @@ pub struct PhaseTimes {
     /// Computing the SS/SN/NN classification of both base relations.
     /// Zero for the naïve algorithm (it never classifies).
     pub grouping: Duration,
-    /// Producing joined tuples: materialising the join (naïve) or building
-    /// candidate joined rows (optimized algorithms).
+    /// Producing joined tuples: materialising the join (naïve) or
+    /// collecting the candidate pairs (optimized algorithms).
     pub join: Duration,
     /// Building explicit dominator/target sets (dominator-based algorithm
     /// only).
@@ -47,19 +47,24 @@ pub struct Counts {
     pub joined_pairs: u64,
     /// Skyline tuples produced.
     pub output: usize,
-    /// Joined-tuple dominance tests performed by the verification kernel
-    /// (one per `(dominator, candidate)` pair actually compared).
+    /// Joined-tuple dominance tests performed by the verification kernel:
+    /// `(dominator, candidate)` pairs whose merged counts were evaluated.
+    /// On the grouping path these are the `(u, v) ∈ τ(u′) × τ(v′)` pairs
+    /// whose local `≤` counts could still reach `k` with perfect
+    /// aggregates — the only pairs charged the aggregate positions.
     pub dom_tests: u64,
-    /// Attribute positions compared by the verification kernel. The
-    /// split-side kernel re-uses each target leg's left-half counts across
-    /// all of its join partners, so this is the figure that shows the
-    /// kernel's advantage over materialising joined tuples.
+    /// Attribute positions compared by the verification kernel. On the
+    /// grouping path: `n·l` per target-set sweep (one per distinct left
+    /// leg over the left relation, one per distinct right leg over the
+    /// right relation) plus `a` per dominance test. Each sweep runs once
+    /// per execution whatever the thread count.
     pub attr_cmps: u64,
-    /// Target legs pruned from the dominator scans: per verified
-    /// candidate, the tuples the `k″` target filter excluded before the
-    /// scan started, plus any legs abandoned after only their hoisted
-    /// half-counts. Counted per verification call, so the value is
-    /// thread-count invariant.
+    /// Target legs pruned from the dominator scans. On the grouping path,
+    /// per verified candidate `(u′, v′)`: the tuples outside `τ(u′)` (or
+    /// joining nothing) plus those outside `τ(v′)`, plus every left
+    /// target the prescan abandoned because its partner bucket held no
+    /// member that could reach `k`. Counted per candidate, so the value
+    /// is thread-count invariant.
     pub targets_pruned: u64,
 }
 

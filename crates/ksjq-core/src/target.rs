@@ -26,8 +26,10 @@
 //! attribute sum** (the SFS presorting idea of Chomicki et al., ICDE 2003,
 //! also used by `ksjq-skyline`'s [`sfs`](ksjq_skyline::sfs) module): the
 //! sum of normalised attributes is a monotone score, so legs of actual
-//! dominators cluster at the front and the split-side kernel's `any`-scan
-//! exits early. Membership is unchanged — only the iteration order.
+//! dominators cluster at the front and the verifiers' `any`-shaped scans
+//! exit early. Membership is unchanged — only the iteration order. The
+//! grouping algorithm's leg kernel (`crate::verify`) builds its target
+//! sets from the same columnar sweep, keeping each member's counts.
 
 use crate::classify::Category;
 use ksjq_relation::{dom_counts_partial_block_columnar_into, Relation};
@@ -78,6 +80,32 @@ pub struct TargetScratch {
     lt: Vec<u32>,
 }
 
+impl TargetScratch {
+    /// The columnar sweep behind every target set: the local `≤`/`<`
+    /// counts of **every** tuple of `rel` against the probe values in
+    /// `self.probe` (in `locals` order), indexed by tuple id. With no
+    /// local attributes every count is 0, so a `k_pp = 0` filter keeps
+    /// the whole relation and any other keeps nothing.
+    fn sweep(&mut self, rel: &Relation, locals: &[usize]) -> (&[u32], &[u32]) {
+        dom_counts_partial_block_columnar_into(
+            rel.columns(),
+            rel.n(),
+            locals,
+            &self.probe,
+            &mut self.le,
+            &mut self.lt,
+        );
+        (&self.le, &self.lt)
+    }
+}
+
+/// The ids whose `≤` count reaches `k_pp`, ascending.
+fn at_least(le: &[u32], k_pp: usize) -> Vec<u32> {
+    (0..le.len() as u32)
+        .filter(|&t| le[t as usize] as usize >= k_pp)
+        .collect()
+}
+
 /// [`target_set`] with caller-owned scratch — the form the hot loops
 /// ([`TargetCache`], [`precompute_target_sets`]) use.
 pub fn target_set_with(
@@ -87,36 +115,22 @@ pub fn target_set_with(
     k_pp: usize,
     scratch: &mut TargetScratch,
 ) -> Vec<u32> {
-    let n = rel.n();
-    let mut out = Vec::new();
-    if n == 0 {
-        return out;
-    }
-    if locals.is_empty() {
-        // No local attributes: the filter is vacuous at k_pp = 0 and
-        // unsatisfiable otherwise — mirrors the scalar oracle exactly.
-        if k_pp == 0 {
-            out.extend(0..n as u32);
-        }
-        return out;
-    }
+    at_least(local_counts(rel, locals, x_prime, scratch).0, k_pp)
+}
+
+/// [`TargetScratch`]'s sweep against tuple `x_prime` of `rel` itself. The
+/// two-sided verifier (`crate::verify`) keeps the counts of the members
+/// it selects.
+pub(crate) fn local_counts<'s>(
+    rel: &Relation,
+    locals: &[usize],
+    x_prime: u32,
+    scratch: &'s mut TargetScratch,
+) -> (&'s [u32], &'s [u32]) {
     let prow = rel.row_at(x_prime as usize);
     scratch.probe.clear();
     scratch.probe.extend(locals.iter().map(|&attr| prow[attr]));
-    dom_counts_partial_block_columnar_into(
-        rel.columns(),
-        n,
-        locals,
-        &scratch.probe,
-        &mut scratch.le,
-        &mut scratch.lt,
-    );
-    for (t, &le) in scratch.le.iter().enumerate() {
-        if le as usize >= k_pp {
-            out.push(t as u32);
-        }
-    }
-    out
+    scratch.sweep(rel, locals)
 }
 
 /// [`target_set_with`] against an **external** probe: the candidate's
@@ -137,33 +151,9 @@ pub fn target_set_for_values(
     scratch: &mut TargetScratch,
 ) -> Vec<u32> {
     debug_assert_eq!(probe.len(), locals.len());
-    let n = rel.n();
-    let mut out = Vec::new();
-    if n == 0 {
-        return out;
-    }
-    if locals.is_empty() {
-        if k_pp == 0 {
-            out.extend(0..n as u32);
-        }
-        return out;
-    }
     scratch.probe.clear();
     scratch.probe.extend_from_slice(probe);
-    dom_counts_partial_block_columnar_into(
-        rel.columns(),
-        n,
-        locals,
-        &scratch.probe,
-        &mut scratch.le,
-        &mut scratch.lt,
-    );
-    for (t, &le) in scratch.le.iter().enumerate() {
-        if le as usize >= k_pp {
-            out.push(t as u32);
-        }
-    }
-    out
+    at_least(scratch.sweep(rel, locals).0, k_pp)
 }
 
 /// The scalar row-major reference for [`target_set`]: one early-abandoning
@@ -264,10 +254,10 @@ pub fn order_by_attr_sum(ids: &mut [u32], scores: &[f64]) {
 /// Lazily computed, memoised target sets for one relation, pre-ordered by
 /// attribute sum for early-exit scans.
 ///
-/// The grouping algorithm touches targets of only the tuples that actually
-/// appear in "likely"/"may be" candidate pairs, so computing them on
-/// demand avoids the dominator-based algorithm's up-front cost (the paper's
-/// trade-off between Algorithms 2 and 3).
+/// Only the tuples actually probed pay for a set, so computing them on
+/// demand avoids [`precompute_target_sets`]' up-front cost. The one-sided
+/// split-side oracle sweeps (`ksjq-bench`, the property suite) read their
+/// target sets through it.
 #[derive(Debug)]
 pub struct TargetCache<'a> {
     rel: &'a Relation,

@@ -1,66 +1,87 @@
-//! Candidate verification against target-set joins — the split-side
-//! dominance kernel.
+//! Candidate verification: the two-sided leg kernel of the grouping
+//! algorithm, plus the row-probe verifiers.
 //!
-//! A candidate joined tuple survives iff no join of target-set members
-//! k-dominates it. The three entry points mirror the check sets of the
-//! paper's algorithms:
+//! A candidate joined tuple `t′ = u′ ⋈ v′` survives iff no joined tuple
+//! k-dominates it: no `t = u ⋈ v` is `≤` `t′` on at least `k` of the
+//! joined positions and `<` on at least one of them.
 //!
-//! * [`JoinedCheck::dominated_via_left`] — `τ(u′) ⋈ R2` (Algorithm 2's
-//!   `CheckTarget` for `SS1 ⋈ SN2`, and — with the sound one-sided filter —
-//!   for `SN1 ⋈ SN2`);
-//! * [`JoinedCheck::dominated_via_right`] — `R1 ⋈ τ(v′)` (the symmetric
-//!   case `SN1 ⋈ SS2`);
-//! * [`JoinedCheck::dominated_via_both`] — `dom(u′) ⋈ dom(v′)`
-//!   (Algorithm 3's `CheckDominators`).
+//! # Why both legs can be filtered (the two-sided check)
 //!
-//! # The split-side kernel
+//! A joined vector is laid out `[left locals…, right locals…,
+//! aggregates…]` with `l1 + l2 + a` positions. If `t` k-dominates `t′`,
+//! at least `k` positions are `≤`. At most `l1 + a` of them lie outside
+//! the right-local segment, so `v` is `≤` `v′` on at least
+//! `k″2 = k − l1 − a` right-local positions; symmetrically `u` is `≤`
+//! `u′` on at least `k″1 = k − l2 − a` left-local positions. Hence
+//! `u ∈ τ(u′)` **and** `v ∈ τ(v′)`, where `τ` is the target filter of
+//! [`crate::target`] — the paper's `dom(u′) ⋈ dom(v′)` of Algorithm 3,
+//! generalised soundly to aggregates. The argument counts `≤`, not `<`,
+//! so tied values stay in both sets: a tie can still be one of the `k`
+//! `≤` positions. Nothing in it depends on the SS/SN class of either leg,
+//! so it also covers the SS⋈SS "yes" pairs that must be verified when
+//! `a ≥ 2` (Theorem 3 fails there: with two aggregate slots an SS⋈SS
+//! pair can be k-dominated, see `grouping`). The verdict itself is the
+//! unchanged rule: merged `≤` count `≥ k` and merged `<` count `≥ 1`.
 //!
-//! A joined skyline vector is laid out `[left locals…, right locals…,
-//! aggregates…]`, and a `k_dominates` test over it decomposes by segment:
-//! the `≤`/`<` counts of the dominator's left leg against `cand[0..l1]`
-//! depend only on the leg, the right-local counts only on the partner, and
-//! only the `a` aggregate positions need both. The kernel therefore never
-//! materialises a joined tuple. For each target leg it computes the
-//! left-half [`DomCounts`] **once**, abandons the whole leg when even a
-//! perfect other half could not reach `k`, and otherwise merges per-partner
-//! right-half counts (plus the tiny aggregate segment) via
-//! [`DomCounts::merge`]. The merged totals are bit-identical to
-//! [`ksjq_relation::dom_counts`] on the materialised row, so results are
-//! byte-identical to the materialising implementation it replaces — a fact
-//! the property suite checks directly.
+//! # The leg kernel ([`verify_candidates`])
 //!
-//! Callers pass target sets ordered by ascending attribute sum (SFS-style,
-//! see [`crate::target`]): dominators carry small sums, so the `any`-shaped
-//! scan exits early on dominated candidates. Ordering never changes the
-//! verdict, only when it is reached.
+//! Candidates are verified by leg ids, grouped by their right leg `v′`.
+//! For each distinct `v′` the kernel runs the same columnar sweep as
+//! [`crate::target::target_set_with`] **once**, keeping every member of
+//! `τ(v′)` with its right-local `≤`/`<` counts (8 bytes a member). The
+//! members are bucketed by partner span — one bucket per right group for
+//! equality joins, a single bucket for theta and Cartesian joins — and
+//! each bucket is sorted by `≤` count, descending. Every candidate left
+//! leg's `τ(u′)` is built once per execution the same way, in ascending
+//! attribute-sum order (SFS presorting: likely dominators come first, so
+//! dominated candidates exit early), with left tuples that join nothing
+//! dropped.
 //!
-//! Within one candidate check the partner-side counts depend only on
-//! `(partner, cand)` — and in an equality join every target leg of the
-//! same group shares its partner set — so the kernel memoises them per
-//! call (generation-stamped, no per-call clearing): each distinct partner
-//! is counted once, after which a pair test costs one merge plus the `a`
-//! aggregate positions.
+//! Checking `(u′, v′)` walks `u ∈ τ(u′)`. An O(1) per-left-tuple slot
+//! names the bucket of `u`'s partners. With `need = k − a − le(u)` the
+//! scan stops at the first bucket member whose `≤` count is below
+//! `need`: even perfect aggregates could not lift it, or anything after
+//! it, to `k`. Most targets fail on the bucket's first member, so a
+//! branch-free prescan over blocks of targets picks out the few worth
+//! scanning. Theta joins additionally skip members outside `u`'s partner
+//! span. Only members that pass are charged the `a` aggregate positions
+//! (from aggregate columns gathered once per call), and the verdict uses
+//! the exact merged counts, so results are byte-identical to the naive
+//! algorithm — the facade's differential suite checks this across join
+//! kinds, `a`, ties and thread counts.
+//!
+//! # Row probes
+//!
+//! Incremental maintenance and the distributed `CHECK` probe with
+//! external joined rows that have no leg id to memoise on; they use
+//! [`ColumnarCheck::dominated_via_left`] over `τ(u′) ⋈ R2`. The
+//! dominator-based algorithm keeps [`ColumnarCheck::dominated_via_both`],
+//! an independent kernel the benchmark uses as its correctness reference.
+//! [`JoinedCheck`] is the scalar row-major oracle of both.
 
-use ksjq_join::JoinContext;
+use crate::cancel::Checkpoint;
+use crate::error::CoreResult;
+use crate::params::{validate_k, KsjqParams};
+use crate::target::{attr_sums, local_counts, order_by_attr_sum, TargetScratch};
+use ksjq_join::{JoinContext, JoinSpec};
 use ksjq_relation::{accumulate_le_lt, dom_counts, dom_counts_partial, DomCounts, Relation};
-use std::borrow::Cow;
+use std::cmp::Reverse;
 use std::ops::Range;
+use std::time::Instant;
 
-/// Counters of the work one verifier ([`JoinedCheck`] or
-/// [`ColumnarCheck`]) has performed, merged into [`crate::ExecStats`] by
-/// the algorithm drivers (and summed across parallel verification
-/// workers).
+/// Counters of the work one verifier has performed, merged into
+/// [`crate::ExecStats`] by the algorithm drivers (and summed across
+/// parallel verification workers). See [`crate::Counts`] for what each
+/// one means on the grouping path.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CheckCounters {
-    /// Joined-tuple dominance tests: one per `(dominator, candidate)` pair
-    /// whose merged counts were actually evaluated.
+    /// Joined-tuple dominance tests: `(dominator, candidate)` pairs whose
+    /// merged counts were evaluated.
     pub dom_tests: u64,
-    /// Attribute positions compared (split-segment counting included).
+    /// Attribute positions compared.
     pub attr_cmps: u64,
-    /// Target legs pruned from a candidate's dominator scan: tuples the
-    /// `k″` target filter excluded before the scan started, plus legs
-    /// abandoned after only their hoisted half-counts. Counted per
-    /// verification call, so the sum is thread-count invariant.
+    /// Tuples kept out of candidates' dominator scans by the target
+    /// filters, plus target legs abandoned after one read.
     pub targets_pruned: u64,
 }
 
@@ -73,10 +94,382 @@ impl CheckCounters {
     }
 }
 
-/// Scratch-carrying split-side verifier for one `(cx, k)` pair.
+/// One target-set member with its local `≤`/`<` counts against the leg
+/// whose set it belongs to: 8 bytes, the unit of both leg memos.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Member {
+    /// Left members: the tuple id. Right members: the right scan position.
+    at: u32,
+    le: u16,
+    lt: u16,
+}
+
+/// Slot of a left tuple that joins nothing.
+const NO_BUCKET: u32 = u32::MAX;
+
+/// The execution-wide, read-only half of the leg kernel: the right
+/// bucket layout, each left tuple's bucket slot, and `τ(u′)` with counts
+/// for every candidate left leg. Built once per [`verify_candidates`]
+/// call and shared by its workers.
+pub(crate) struct LegIndex<'b, 'a> {
+    cx: &'b JoinContext<'a>,
+    k: usize,
+    k2_pp: usize,
+    /// Right scan position → bucket (the right group for equality joins,
+    /// 0 otherwise). Non-decreasing: buckets are contiguous in scan order.
+    pos_bucket: Vec<u32>,
+    buckets: usize,
+    /// Left tuple → the bucket holding its partners, or [`NO_BUCKET`].
+    slot: Vec<u32>,
+    /// Left tuple → its partner span in right scan positions. Theta joins
+    /// only: their spans cut through the single bucket.
+    span: Vec<(u32, u32)>,
+    /// Left tuple `u′` → the range of `τ(u′)` within `members` (empty for
+    /// tuples that are no candidate's left leg).
+    left: Vec<(u32, u32)>,
+    members: Vec<Member>,
+    /// Aggregate inputs gathered once: `lagg[u·a + s]` is left tuple
+    /// `u`'s slot-`s` value, `ragg[p·a + s]` that of the right tuple at
+    /// scan position `p`.
+    lagg: Vec<f64>,
+    ragg: Vec<f64>,
+}
+
+impl<'b, 'a> LegIndex<'b, 'a> {
+    /// Lay out `cx`'s buckets and build `τ(u′)` for every left leg of
+    /// `pairs`, sharding the sweeps over `threads` workers. Returns the
+    /// sweeps' comparison count alongside (deterministic: each leg is
+    /// swept exactly once whatever the thread count).
+    fn build(
+        cx: &'b JoinContext<'a>,
+        params: &KsjqParams,
+        pairs: &[(u32, u32)],
+        threads: usize,
+        deadline: Option<Instant>,
+    ) -> CoreResult<(Self, CheckCounters)> {
+        // Schemas cap their arity at `Schema::MAX_ATTRS`, so every local
+        // count fits a member's 16-bit fields.
+        debug_assert!(params.l1.max(params.l2) <= u16::MAX as usize);
+        let (left, right) = (cx.left(), cx.right());
+        let (n1, n2) = (left.n(), right.n());
+        let (pos_bucket, buckets) = match cx.spec() {
+            JoinSpec::Equality => {
+                let groups = right.group_index().expect("validated equality join");
+                let mut pos_bucket = Vec::with_capacity(n2);
+                for (b, (_, members)) in groups.iter().enumerate() {
+                    pos_bucket.extend(std::iter::repeat_n(b as u32, members.len()));
+                }
+                (pos_bucket, groups.group_count())
+            }
+            _ => (vec![0; n2], 1),
+        };
+        let theta = matches!(cx.spec(), JoinSpec::Theta(_));
+        let mut slot = Vec::with_capacity(n1);
+        let mut span = Vec::new();
+        for u in 0..n1 as u32 {
+            let s = cx.right_partner_span(u);
+            slot.push(if s.is_empty() {
+                NO_BUCKET
+            } else {
+                pos_bucket[s.start]
+            });
+            if theta {
+                span.push((s.start as u32, s.end as u32));
+            }
+        }
+
+        // τ(u′) of every distinct left leg, sharded over workers.
+        let mut is_leg = vec![false; n1];
+        for &(u, _) in pairs {
+            is_leg[u as usize] = true;
+        }
+        let legs: Vec<u32> = (0..n1 as u32).filter(|&u| is_leg[u as usize]).collect();
+        let scores = attr_sums(left);
+        let locals = cx.left_local_attrs();
+        let ranges = crate::parallel::even_ranges(legs.len(), threads);
+        let parts = crate::parallel::run_ranges(&ranges, |range, cancelled| {
+            let mut cp = Checkpoint::new(deadline);
+            let mut scratch = TargetScratch::default();
+            let mut ids = Vec::new();
+            let (mut members, mut ends) = (Vec::new(), Vec::with_capacity(range.len()));
+            for &u in &legs[range] {
+                cp.tick_shared(cancelled)?;
+                let (le, lt) = local_counts(left, locals, u, &mut scratch);
+                ids.clear();
+                ids.extend((0..n1 as u32).filter(|&t| {
+                    le[t as usize] as usize >= params.k1_pp && slot[t as usize] != NO_BUCKET
+                }));
+                order_by_attr_sum(&mut ids, &scores);
+                members.extend(ids.iter().map(|&t| Member {
+                    at: t,
+                    le: le[t as usize] as u16,
+                    lt: lt[t as usize] as u16,
+                }));
+                ends.push(members.len() as u32);
+            }
+            Ok((members, ends))
+        })?;
+        let mut left_ranges = vec![(0u32, 0u32); n1];
+        let mut members = Vec::with_capacity(parts.iter().map(|(m, _)| m.len()).sum());
+        for (range, (part, ends)) in ranges.into_iter().zip(parts) {
+            let base = members.len() as u32;
+            let mut start = base;
+            for (&u, &end) in legs[range].iter().zip(&ends) {
+                left_ranges[u as usize] = (start, base + end);
+                start = base + end;
+            }
+            members.extend(part);
+        }
+        let lagg = gather_aggs(left, params.a, 0..n1 as u32);
+        let ragg = gather_aggs(right, params.a, cx.right_scan_order().iter().copied());
+        let counters = CheckCounters {
+            attr_cmps: (legs.len() * n1 * params.l1) as u64,
+            ..CheckCounters::default()
+        };
+        Ok((
+            LegIndex {
+                cx,
+                k: params.k,
+                k2_pp: params.k2_pp,
+                pos_bucket,
+                buckets,
+                slot,
+                span,
+                left: left_ranges,
+                members,
+                lagg,
+                ragg,
+            },
+            counters,
+        ))
+    }
+
+    /// `τ(u′)` with left-local counts, ascending attribute sum.
+    fn left_targets(&self, u: u32) -> &[Member] {
+        let (s, e) = self.left[u as usize];
+        &self.members[s as usize..e as usize]
+    }
+}
+
+/// The `a` aggregate input values of each tuple of `ids`, in `ids` order.
+fn gather_aggs(rel: &Relation, a: usize, ids: impl Iterator<Item = u32>) -> Vec<f64> {
+    let cols: Vec<&[f64]> = (0..a)
+        .map(|s| rel.column(rel.schema().agg_index(s).expect("validated agg slot")))
+        .collect();
+    ids.flat_map(|t| cols.iter().map(move |c| c[t as usize]))
+        .collect()
+}
+
+/// One worker's half of the leg kernel: the memo of the current right leg
+/// `τ(v′)` (bucketed, each bucket `≤`-count descending) plus scratch.
+pub(crate) struct LegCheck<'i, 'b, 'a> {
+    ix: &'i LegIndex<'b, 'a>,
+    /// The right leg whose `τ` is loaded (`u32::MAX`: none yet).
+    leg: u32,
+    right: Vec<Member>,
+    /// `right[bucket_start[b]..bucket_start[b + 1]]` is bucket `b`.
+    bucket_start: Vec<u32>,
+    /// One more than bucket `b`'s highest `≤` count (its first member's);
+    /// 0 for an empty bucket.
+    top: Vec<u32>,
+    scratch: TargetScratch,
+    cand_aggs: Vec<f64>,
+    counters: CheckCounters,
+}
+
+impl<'i, 'b, 'a> LegCheck<'i, 'b, 'a> {
+    pub(crate) fn new(ix: &'i LegIndex<'b, 'a>) -> Self {
+        let a = ix.cx.a();
+        LegCheck {
+            ix,
+            leg: u32::MAX,
+            right: Vec::new(),
+            bucket_start: vec![0; ix.buckets + 1],
+            top: vec![0; ix.buckets],
+            scratch: TargetScratch::default(),
+            cand_aggs: vec![0.0; a],
+            counters: CheckCounters::default(),
+        }
+    }
+
+    pub(crate) fn counters(&self) -> CheckCounters {
+        self.counters
+    }
+
+    /// Sweep the right relation against `v′` and bucket `τ(v′)`.
+    fn load(&mut self, v: u32) {
+        let ix = self.ix;
+        let cx = ix.cx;
+        let right = cx.right();
+        let (le, lt) = local_counts(right, cx.right_local_attrs(), v, &mut self.scratch);
+        self.counters.attr_cmps += (right.n() * cx.l2()) as u64;
+        self.right.clear();
+        self.bucket_start.fill(0);
+        for (pos, &t) in cx.right_scan_order().iter().enumerate() {
+            let c = le[t as usize];
+            if c as usize >= ix.k2_pp {
+                self.right.push(Member {
+                    at: pos as u32,
+                    le: c as u16,
+                    lt: lt[t as usize] as u16,
+                });
+                self.bucket_start[ix.pos_bucket[pos] as usize + 1] += 1;
+            }
+        }
+        for b in 0..ix.buckets {
+            self.bucket_start[b + 1] += self.bucket_start[b];
+            let bucket =
+                &mut self.right[self.bucket_start[b] as usize..self.bucket_start[b + 1] as usize];
+            bucket.sort_unstable_by_key(|m| (Reverse(m.le), m.at));
+            self.top[b] = bucket.first().map_or(0, |m| m.le as u32 + 1);
+        }
+        self.leg = v;
+    }
+
+    /// Is candidate `u′ ⋈ v′` k-dominated by some `u ⋈ v` with
+    /// `u ∈ τ(u′)`, `v ∈ τ(v′)`? `u′` must be a left leg the index was
+    /// built for; calls sharing `v′` should be consecutive.
+    pub(crate) fn dominated(&mut self, u_prime: u32, v_prime: u32) -> bool {
+        if self.leg != v_prime {
+            self.load(v_prime);
+        }
+        let ix = self.ix;
+        let cx = ix.cx;
+        let targets = ix.left_targets(u_prime);
+        self.counters.targets_pruned +=
+            (cx.left().n() - targets.len() + cx.right().n() - self.right.len()) as u64;
+        let a = cx.a();
+        if a > 0 {
+            cx.fill_aggs(u_prime, v_prime, &mut self.cand_aggs);
+        }
+        let k = ix.k as u32;
+        // k > d ≥ a for every valid k.
+        let k_minus_a = k - a as u32;
+        // Most targets' buckets hold no member that could reach `k`: a
+        // branch-free prescan over a block of targets finds the few whose
+        // bucket does, and only those are scanned.
+        const BLOCK: usize = 32;
+        for block in targets.chunks(BLOCK) {
+            let mut live = 0u32;
+            for (i, m) in block.iter().enumerate() {
+                let top = self.top[ix.slot[m.at as usize] as usize];
+                live |= ((top > k_minus_a.saturating_sub(m.le as u32)) as u32) << i;
+            }
+            self.counters.targets_pruned += (block.len() - live.count_ones() as usize) as u64;
+            while live != 0 {
+                let m = block[live.trailing_zeros() as usize];
+                live &= live - 1;
+                let b = ix.slot[m.at as usize] as usize;
+                let bucket =
+                    &self.right[self.bucket_start[b] as usize..self.bucket_start[b + 1] as usize];
+                let need = k_minus_a.saturating_sub(m.le as u32);
+                let (lo, hi) = ix.span.get(m.at as usize).copied().unwrap_or((0, u32::MAX));
+                let lagg = &ix.lagg[m.at as usize * a..][..a];
+                for r in bucket {
+                    if (r.le as u32) < need {
+                        break;
+                    }
+                    if r.at < lo || r.at >= hi {
+                        continue;
+                    }
+                    self.counters.dom_tests += 1;
+                    let mut mle = m.le as u32 + r.le as u32;
+                    let mut mlt = m.lt as u32 + r.lt as u32;
+                    if a > 0 {
+                        self.counters.attr_cmps += a as u64;
+                        let ragg = &ix.ragg[r.at as usize * a..][..a];
+                        for s in 0..a {
+                            let v = cx.combine_slot(s, lagg[s], ragg[s]);
+                            mle += (v <= self.cand_aggs[s]) as u32;
+                            mlt += (v < self.cand_aggs[s]) as u32;
+                        }
+                    }
+                    if mle >= k && mlt >= 1 {
+                        return true;
+                    }
+                }
+            }
+        }
+        false
+    }
+}
+
+/// Order `pairs` by right leg (stable counting sort), so every right
+/// leg's candidates are consecutive and its `τ(v′)` is built once.
+fn by_right_leg(pairs: &[(u32, u32)], n2: usize) -> Vec<(u32, u32)> {
+    let mut next = vec![0u32; n2 + 1];
+    for &(_, v) in pairs {
+        next[v as usize + 1] += 1;
+    }
+    for i in 0..n2 {
+        next[i + 1] += next[i];
+    }
+    let mut out = vec![(0, 0); pairs.len()];
+    for &(u, v) in pairs {
+        let at = &mut next[v as usize];
+        out[*at as usize] = (u, v);
+        *at += 1;
+    }
+    out
+}
+
+/// Verify candidate pairs `(u′, v′)` of `cx`'s join under `k`-dominance
+/// with the two-sided leg kernel (see the module docs), calling
+/// `sink(u′, v′)` for every survivor; returns the kernel's work counters.
 ///
-/// Exposed publicly so benchmarks (and adventurous engine users) can drive
-/// the kernel directly; the KSJQ algorithms construct it internally.
+/// This is the grouping algorithm's verification phase. With
+/// `threads ≤ 1` survivors reach `sink` as their checks complete, grouped
+/// by right leg. With more threads the sweeps and checks are sharded over
+/// scoped workers (whole right legs per worker) and survivors are
+/// delivered after the workers join. Verdicts and counters are identical
+/// for every thread count; only the delivery order differs.
+///
+/// # Errors
+///
+/// [`CoreError::InvalidK`](crate::CoreError) for an out-of-range `k`;
+/// [`CoreError::DeadlineExceeded`](crate::CoreError) once `deadline`
+/// passes.
+pub fn verify_candidates(
+    cx: &JoinContext<'_>,
+    k: usize,
+    pairs: &[(u32, u32)],
+    threads: usize,
+    deadline: Option<Instant>,
+    mut sink: impl FnMut(u32, u32),
+) -> CoreResult<CheckCounters> {
+    let params = validate_k(cx, k)?;
+    if pairs.is_empty() {
+        return Ok(CheckCounters::default());
+    }
+    let pairs = by_right_leg(pairs, cx.right().n());
+    let (ix, mut counters) = LegIndex::build(cx, &params, &pairs, threads, deadline)?;
+    if threads <= 1 {
+        let mut chk = LegCheck::new(&ix);
+        let mut cp = Checkpoint::new(deadline);
+        for &(u, v) in &pairs {
+            cp.tick()?;
+            if !chk.dominated(u, v) {
+                sink(u, v);
+            }
+        }
+        counters.absorb(chk.counters());
+    } else {
+        let (survivors, c) = crate::parallel::verify_parallel(&ix, &pairs, threads, deadline)?;
+        counters.absorb(c);
+        for (u, v) in survivors {
+            sink(u, v);
+        }
+    }
+    Ok(counters)
+}
+
+/// The scalar row-major oracle of the row-probe verifiers: for each
+/// target leg the left-half [`DomCounts`] are computed once, then merged
+/// with each partner's right-half counts (memoised per call) and the `a`
+/// aggregate positions via [`DomCounts::merge`] — bit-identical to
+/// [`ksjq_relation::dom_counts`] on the materialised row. No algorithm
+/// runs it: the property suite and the kernel ablation (`ksjq-bench`)
+/// check the production kernels against it.
 #[derive(Debug)]
 pub struct JoinedCheck<'b, 'a> {
     cx: &'b JoinContext<'a>,
@@ -302,65 +695,38 @@ impl<'b, 'a> JoinedCheck<'b, 'a> {
     }
 }
 
-/// Gather the local-attribute columns of `rel` permuted into `order`:
-/// local `j`'s values occupy `out[j·n..(j+1)·n]`, indexed by *scan
-/// position* rather than tuple id, so every partner span is a contiguous
-/// stretch of each column.
-fn permute_local_columns(rel: &Relation, locals: &[usize], order: &[u32]) -> Vec<f64> {
+/// Gather the right relation's local-attribute columns permuted into the
+/// join's right scan order: local `j`'s values occupy `out[j·n..(j+1)·n]`,
+/// indexed by *scan position* rather than tuple id, so every partner span
+/// is a contiguous stretch of each column.
+fn permute_right_locals(cx: &JoinContext<'_>) -> Vec<f64> {
+    let rel = cx.right();
     let n = rel.n();
+    let locals = cx.right_local_attrs();
     let mut out = vec![0.0; n * locals.len()];
     for (j, &attr) in locals.iter().enumerate() {
         let col = rel.column(attr);
         let dst = &mut out[j * n..(j + 1) * n];
-        for (pos, &t) in order.iter().enumerate() {
+        for (pos, &t) in cx.right_scan_order().iter().enumerate() {
             dst[pos] = col[t as usize];
         }
     }
     out
 }
 
-/// Zero and fill one span of the per-candidate count arrays: for each
-/// segment attribute, sweep the permuted column stride-1 with the
-/// lane-blocked accumulator.
-fn fill_span(
-    perm: &[f64],
-    n: usize,
-    seg: &[f64],
-    span: Range<usize>,
-    le: &mut [u32],
-    lt: &mut [u32],
-    counters: &mut CheckCounters,
-) {
-    le[span.clone()].fill(0);
-    lt[span.clone()].fill(0);
-    for (j, &b) in seg.iter().enumerate() {
-        accumulate_le_lt(
-            &perm[j * n + span.start..j * n + span.end],
-            b,
-            &mut le[span.clone()],
-            &mut lt[span.clone()],
-        );
-    }
-    counters.attr_cmps += (span.len() * seg.len()) as u64;
-}
-
-/// Scan one contiguous partner span for a pair that k-dominates the
-/// candidate: a blocked threshold prescan over the partner-half `≤`
-/// counts finds the rare positions whose merged counts could still reach
-/// `k`; only those pay the aggregate fill. `leg_is_left` says which side
-/// the hoisted `leg`/`lc` belong to (partners are on the other side).
-/// Verdicts are identical to the oracle's per-pair merge — same skip
-/// condition, same final formula, same scan order.
+/// Scan one contiguous partner span for a partner that, joined with the
+/// target leg `u` (left-half counts `lc`), k-dominates the candidate: a
+/// blocked threshold prescan over the partner-half `≤` counts finds the
+/// rare positions whose merged counts could still reach `k`; only those
+/// pay the aggregate fill. Verdicts are identical to the oracle's per-pair
+/// merge — same skip condition, same final formula, same scan order.
 #[allow(clippy::too_many_arguments)]
 fn scan_span(
     cx: &JoinContext<'_>,
     k: usize,
-    a: usize,
-    leg: u32,
-    leg_is_left: bool,
+    u: u32,
     lc: DomCounts,
     span: Range<usize>,
-    order: &[u32],
     le: &[u32],
     lt: &[u32],
     mask: Option<&[bool]>,
@@ -368,10 +734,11 @@ fn scan_span(
     ca: &[f64],
     counters: &mut CheckCounters,
 ) -> bool {
+    let a = cx.a();
     // A pair is worth the aggregate segment iff even perfect aggregates
     // could lift `≤` to k: lc.le + partner.le + a ≥ k.
-    let slack = lc.le as usize + a;
-    let need: u32 = k.saturating_sub(slack).min(u32::MAX as usize) as u32;
+    let need: u32 = k.saturating_sub(lc.le as usize + a).min(u32::MAX as usize) as u32;
+    let order = cx.right_scan_order();
     const BLOCK: usize = 64;
     let mut p = span.start;
     while p < span.end {
@@ -396,17 +763,11 @@ fn scan_span(
                 if le[q] < need || mask.is_some_and(|m| !m[q]) {
                     continue;
                 }
-                let partner = order[q];
-                let (u, v) = if leg_is_left {
-                    (leg, partner)
-                } else {
-                    (partner, leg)
-                };
                 let mut mle = lc.le + le[q];
                 let mut mlt = lc.lt + lt[q];
                 if a > 0 {
                     counters.attr_cmps += a as u64;
-                    cx.fill_aggs(u, v, aggs);
+                    cx.fill_aggs(u, order[q], aggs);
                     let ac = dom_counts(aggs, ca);
                     mle += ac.le;
                     mlt += ac.lt;
@@ -423,45 +784,36 @@ fn scan_span(
     false
 }
 
-/// The columnar split-side verifier: same three entry points and the same
-/// verdicts as [`JoinedCheck`] (which stays as the scalar row-major
-/// oracle), but the partner-half `≤`/`<` counts are computed by stride-1
-/// lane-blocked sweeps over attribute columns permuted into the join's
-/// *scan order*, where every partner set is one contiguous range
+/// The columnar verifier for candidates given as **joined rows**: the
+/// external probes of incremental maintenance and the distributed
+/// `CHECK`, which have no leg id to memoise on, and the dominator-based
+/// algorithm's `dom(u′) ⋈ dom(v′)` reference path. Same verdicts as
+/// [`JoinedCheck`] (the scalar row-major oracle), but the partner-half
+/// `≤`/`<` counts are computed by stride-1 lane-blocked sweeps over the
+/// right local columns permuted into the join's *scan order*, where every
+/// partner set is one contiguous range
 /// ([`JoinContext::right_partner_span`]).
 ///
-/// Per candidate the verifier fills the count arrays for each partner
-/// block (one span per equality group, the whole side for theta/Cartesian
+/// Per probe the verifier fills the count arrays for each partner block
+/// (one span per equality group, the whole side for theta/Cartesian
 /// joins) at most once — generation-stamped like the oracle's memo — and
 /// the per-pair test collapses to a vectorisable threshold compare over
 /// contiguous `u32` counts; only pairs that could still reach `k` touch
-/// the `a` aggregate positions. This trades more raw attribute
-/// comparisons (the sweeps count every tuple of a block) for memory-
-/// bandwidth scans, which is a large constant-factor wall-clock win on
-/// the anti-correlated workloads where most pairs fail the threshold —
-/// the kernel ablation (`BENCH_kernel.json`) pins the numbers.
-///
-/// The production algorithms construct this; benchmarks compare it
-/// against the oracle, and the property suite proves the verdicts equal.
+/// the `a` aggregate positions.
 #[derive(Debug)]
 pub struct ColumnarCheck<'b, 'a> {
     cx: &'b JoinContext<'a>,
     k: usize,
-    l1: usize,
-    l2: usize,
-    a: usize,
-    /// The join's immutable permuted-column layout — owned by a
-    /// stand-alone verifier, borrowed when workers share one
-    /// ([`with_layout`](Self::with_layout)).
-    layout: Cow<'b, ColumnarLayout<'b>>,
+    equality: bool,
+    /// Right local columns permuted into scan order.
+    rperm: Vec<f64>,
+    /// Right tuple id → scan position (two-sided masks).
+    rpos: Vec<u32>,
     /// Scratch for the `a` aggregate values of one pair.
     aggs: Vec<f64>,
-    /// Per-candidate partner-half counts, indexed by scan position, with
+    /// Per-probe partner-half counts, indexed by scan position, with
     /// generation stamps per filled block (keyed by span start — equality
     /// spans tile the order, other specs fill the whole side under key 0).
-    lc_le: Vec<u32>,
-    lc_lt: Vec<u32>,
-    lstamp: Vec<u64>,
     rc_le: Vec<u32>,
     rc_lt: Vec<u32>,
     rstamp: Vec<u64>,
@@ -471,70 +823,21 @@ pub struct ColumnarCheck<'b, 'a> {
     counters: CheckCounters,
 }
 
-/// The shared immutable half of a [`ColumnarCheck`]: the join's scan
-/// orders, the local-attribute columns permuted into them, and the right
-/// id → position map. Building one costs an `O(n·d)` gather per side;
-/// parallel verification builds it **once per call** and hands every
-/// worker a borrow ([`ColumnarCheck::with_layout`]) instead of paying the
-/// gather — and the memory — once per thread.
-#[derive(Debug, Clone)]
-pub struct ColumnarLayout<'b> {
-    equality: bool,
-    lorder: &'b [u32],
-    rorder: &'b [u32],
-    /// Local columns permuted into scan order, one side each.
-    lperm: Vec<f64>,
-    rperm: Vec<f64>,
-    /// Right tuple id → scan position.
-    rpos: Vec<u32>,
-}
-
-impl<'b> ColumnarLayout<'b> {
-    /// Gather `cx`'s permuted-column layout.
-    pub fn new(cx: &'b JoinContext<'_>) -> Self {
-        let lorder = cx.left_scan_order();
-        let rorder = cx.right_scan_order();
-        let mut rpos = vec![0u32; cx.right().n()];
-        for (pos, &t) in rorder.iter().enumerate() {
+impl<'b, 'a> ColumnarCheck<'b, 'a> {
+    /// A columnar verifier for candidates of `cx`'s join under
+    /// `k`-dominance.
+    pub fn new(cx: &'b JoinContext<'a>, k: usize) -> Self {
+        let n2 = cx.right().n();
+        let mut rpos = vec![0u32; n2];
+        for (pos, &t) in cx.right_scan_order().iter().enumerate() {
             rpos[t as usize] = pos as u32;
         }
-        ColumnarLayout {
-            equality: matches!(cx.spec(), ksjq_join::JoinSpec::Equality),
-            lperm: permute_local_columns(cx.left(), cx.left_local_attrs(), lorder),
-            rperm: permute_local_columns(cx.right(), cx.right_local_attrs(), rorder),
-            lorder,
-            rorder,
-            rpos,
-        }
-    }
-}
-
-impl<'b, 'a> ColumnarCheck<'b, 'a> {
-    /// A stand-alone columnar verifier for candidates of `cx`'s join
-    /// under `k`-dominance (gathers its own [`ColumnarLayout`]).
-    pub fn new(cx: &'b JoinContext<'a>, k: usize) -> Self {
-        Self::build(cx, k, Cow::Owned(ColumnarLayout::new(cx)))
-    }
-
-    /// A verifier sharing a prebuilt [`ColumnarLayout`] — the parallel
-    /// workers' constructor: per-worker state shrinks to the count /
-    /// stamp / mask scratch.
-    pub fn with_layout(cx: &'b JoinContext<'a>, k: usize, layout: &'b ColumnarLayout<'b>) -> Self {
-        Self::build(cx, k, Cow::Borrowed(layout))
-    }
-
-    fn build(cx: &'b JoinContext<'a>, k: usize, layout: Cow<'b, ColumnarLayout<'b>>) -> Self {
-        let (n1, n2) = (cx.left().n(), cx.right().n());
         ColumnarCheck {
             k,
-            l1: cx.l1(),
-            l2: cx.l2(),
-            a: cx.a(),
-            layout,
+            equality: matches!(cx.spec(), ksjq_join::JoinSpec::Equality),
+            rperm: permute_right_locals(cx),
+            rpos,
             aggs: vec![0.0; cx.a()],
-            lc_le: vec![0; n1],
-            lc_lt: vec![0; n1],
-            lstamp: vec![0; n1 + 1],
             rc_le: vec![0; n2],
             rc_lt: vec![0; n2],
             rstamp: vec![0; n2 + 1],
@@ -550,60 +853,70 @@ impl<'b, 'a> ColumnarCheck<'b, 'a> {
         self.counters
     }
 
-    /// Split `cand` into its `(left locals, right locals, aggregates)`
-    /// segments.
-    #[inline]
-    fn segments<'c>(&self, cand: &'c [f64]) -> (&'c [f64], &'c [f64], &'c [f64]) {
-        debug_assert_eq!(cand.len(), self.l1 + self.l2 + self.a);
-        let (cl, rest) = cand.split_at(self.l1);
-        let (cr, ca) = rest.split_at(self.l2);
-        (cl, cr, ca)
-    }
-
-    /// Fill the right-side counts covering `span` for the current
-    /// candidate if not already stamped (whole side for non-equality
-    /// specs, whose spans overlap).
+    /// Fill the right-side counts covering `span` for the current probe if
+    /// not already stamped (whole side for non-equality specs, whose spans
+    /// overlap).
     fn ensure_right(&mut self, span: &Range<usize>, cr: &[f64]) {
         let n2 = self.cx.right().n();
-        let (key, fill) = if self.layout.equality {
+        let (key, fill) = if self.equality {
             (span.start, span.clone())
         } else {
             (0, 0..n2)
         };
-        if self.rstamp[key] != self.generation {
-            fill_span(
-                &self.layout.rperm,
-                n2,
-                cr,
-                fill,
-                &mut self.rc_le,
-                &mut self.rc_lt,
-                &mut self.counters,
-            );
-            self.rstamp[key] = self.generation;
+        if self.rstamp[key] == self.generation {
+            return;
         }
+        self.rc_le[fill.clone()].fill(0);
+        self.rc_lt[fill.clone()].fill(0);
+        for (j, &b) in cr.iter().enumerate() {
+            accumulate_le_lt(
+                &self.rperm[j * n2 + fill.start..j * n2 + fill.end],
+                b,
+                &mut self.rc_le[fill.clone()],
+                &mut self.rc_lt[fill.clone()],
+            );
+        }
+        self.counters.attr_cmps += (fill.len() * cr.len()) as u64;
+        self.rstamp[key] = self.generation;
     }
 
-    /// Symmetric left-side fill for [`dominated_via_right`].
-    fn ensure_left(&mut self, span: &Range<usize>, cl: &[f64]) {
-        let n1 = self.cx.left().n();
-        let (key, fill) = if self.layout.equality {
-            (span.start, span.clone())
-        } else {
-            (0, 0..n1)
-        };
-        if self.lstamp[key] != self.generation {
-            fill_span(
-                &self.layout.lperm,
-                n1,
-                cl,
-                fill,
-                &mut self.lc_le,
-                &mut self.lc_lt,
+    /// The shared scan of both entry points: left target legs in the given
+    /// order, each against its (optionally masked) partner span.
+    fn scan(&mut self, targets: &[u32], cand: &[f64], masked: bool) -> bool {
+        let cx = self.cx;
+        let (l1, l2) = (cx.l1(), cx.l2());
+        debug_assert_eq!(cand.len(), l1 + l2 + cx.a());
+        let (cl, rest) = cand.split_at(l1);
+        let (cr, ca) = rest.split_at(l2);
+        for &u in targets {
+            self.counters.attr_cmps += l1 as u64;
+            let lc = dom_counts_partial(cx.left().row_at(u as usize), cx.left_local_attrs(), cl);
+            if lc.le as usize + l2 + cx.a() < self.k {
+                self.counters.targets_pruned += 1;
+                continue;
+            }
+            let span = cx.right_partner_span(u);
+            if span.is_empty() {
+                continue;
+            }
+            self.ensure_right(&span, cr);
+            if scan_span(
+                cx,
+                self.k,
+                u,
+                lc,
+                span,
+                &self.rc_le,
+                &self.rc_lt,
+                masked.then_some(&self.rmask[..]),
+                &mut self.aggs,
+                ca,
                 &mut self.counters,
-            );
-            self.lstamp[key] = self.generation;
+            ) {
+                return true;
+            }
         }
+        false
     }
 
     /// Is `cand` k-dominated by some `u ⋈ v` with `u ∈ targets`,
@@ -611,87 +924,7 @@ impl<'b, 'a> ColumnarCheck<'b, 'a> {
     pub fn dominated_via_left(&mut self, targets: &[u32], cand: &[f64]) -> bool {
         self.generation += 1;
         self.counters.targets_pruned += (self.cx.left().n().saturating_sub(targets.len())) as u64;
-        let (cl, cr, ca) = self.segments(cand);
-        for &u in targets {
-            self.counters.attr_cmps += self.l1 as u64;
-            let lc = dom_counts_partial(
-                self.cx.left().row_at(u as usize),
-                self.cx.left_local_attrs(),
-                cl,
-            );
-            if lc.le as usize + self.l2 + self.a < self.k {
-                self.counters.targets_pruned += 1;
-                continue;
-            }
-            let span = self.cx.right_partner_span(u);
-            if span.is_empty() {
-                continue;
-            }
-            self.ensure_right(&span, cr);
-            if scan_span(
-                self.cx,
-                self.k,
-                self.a,
-                u,
-                true,
-                lc,
-                span,
-                self.layout.rorder,
-                &self.rc_le,
-                &self.rc_lt,
-                None,
-                &mut self.aggs,
-                ca,
-                &mut self.counters,
-            ) {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Is `cand` k-dominated by some `u ⋈ v` with `v ∈ targets`,
-    /// `u` join-compatible with `v`?
-    pub fn dominated_via_right(&mut self, targets: &[u32], cand: &[f64]) -> bool {
-        self.generation += 1;
-        self.counters.targets_pruned += (self.cx.right().n().saturating_sub(targets.len())) as u64;
-        let (cl, cr, ca) = self.segments(cand);
-        for &v in targets {
-            self.counters.attr_cmps += self.l2 as u64;
-            let rc = dom_counts_partial(
-                self.cx.right().row_at(v as usize),
-                self.cx.right_local_attrs(),
-                cr,
-            );
-            if rc.le as usize + self.l1 + self.a < self.k {
-                self.counters.targets_pruned += 1;
-                continue;
-            }
-            let span = self.cx.left_partner_span(v);
-            if span.is_empty() {
-                continue;
-            }
-            self.ensure_left(&span, cl);
-            if scan_span(
-                self.cx,
-                self.k,
-                self.a,
-                v,
-                false,
-                rc,
-                span,
-                self.layout.lorder,
-                &self.lc_le,
-                &self.lc_lt,
-                None,
-                &mut self.aggs,
-                ca,
-                &mut self.counters,
-            ) {
-                return true;
-            }
-        }
-        false
+        self.scan(targets, cand, false)
     }
 
     /// Is `cand` k-dominated by some `u ⋈ v` with `u ∈ left_targets` *and*
@@ -707,49 +940,12 @@ impl<'b, 'a> ColumnarCheck<'b, 'a> {
         self.counters.targets_pruned += (self.cx.left().n().saturating_sub(left_targets.len())
             + self.cx.right().n().saturating_sub(right_targets.len()))
             as u64;
-        let (cl, cr, ca) = self.segments(cand);
         for &v in right_targets {
-            self.rmask[self.layout.rpos[v as usize] as usize] = true;
+            self.rmask[self.rpos[v as usize] as usize] = true;
         }
-        let mut found = false;
-        'outer: for &u in left_targets {
-            self.counters.attr_cmps += self.l1 as u64;
-            let lc = dom_counts_partial(
-                self.cx.left().row_at(u as usize),
-                self.cx.left_local_attrs(),
-                cl,
-            );
-            if lc.le as usize + self.l2 + self.a < self.k {
-                self.counters.targets_pruned += 1;
-                continue;
-            }
-            let span = self.cx.right_partner_span(u);
-            if span.is_empty() {
-                continue;
-            }
-            self.ensure_right(&span, cr);
-            if scan_span(
-                self.cx,
-                self.k,
-                self.a,
-                u,
-                true,
-                lc,
-                span,
-                self.layout.rorder,
-                &self.rc_le,
-                &self.rc_lt,
-                Some(&self.rmask),
-                &mut self.aggs,
-                ca,
-                &mut self.counters,
-            ) {
-                found = true;
-                break 'outer;
-            }
-        }
+        let found = self.scan(left_targets, cand, true);
         for &v in right_targets {
-            self.rmask[self.layout.rpos[v as usize] as usize] = false;
+            self.rmask[self.rpos[v as usize] as usize] = false;
         }
         found
     }
@@ -908,9 +1104,9 @@ mod tests {
         assert_eq!(c.attr_cmps, 2 + 10 * 2);
     }
 
-    /// The columnar verifier must return the oracle's verdicts on all
-    /// three entry points, for an aggregate join over random data and
-    /// every valid k — including arbitrary (restricted) target sets.
+    /// The columnar verifier must return the oracle's verdicts on both
+    /// entry points, for an aggregate join over random data and every
+    /// valid k — including arbitrary (restricted) target sets.
     #[test]
     fn columnar_matches_oracle_on_aggregate_join() {
         let schema = || Schema::uniform_agg(1, 2).unwrap();
@@ -946,11 +1142,6 @@ mod tests {
                     columnar.dominated_via_left(&lt, &cand),
                     oracle.dominated_via_left(&lt, &cand),
                     "via_left ({u},{v}) k={k}"
-                );
-                assert_eq!(
-                    columnar.dominated_via_right(&rt, &cand),
-                    oracle.dominated_via_right(&rt, &cand),
-                    "via_right ({u},{v}) k={k}"
                 );
                 assert_eq!(
                     columnar.dominated_via_both(&lt, &rt, &cand),
@@ -989,6 +1180,86 @@ mod tests {
         let mut columnar = ColumnarCheck::new(&cx, 4);
         let _ = columnar.dominated_via_left(&[1, 2, 3], &cand);
         assert_eq!(columnar.counters().targets_pruned, 7);
+    }
+
+    /// The leg kernel's survivors must equal an exhaustive scan of the
+    /// materialised join, for an aggregate equality join and every k.
+    #[test]
+    fn leg_kernel_matches_exhaustive_scan() {
+        let schema = || Schema::uniform_agg(1, 2).unwrap();
+        let mut state = 8080u64;
+        let mut next = move |m: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % m
+        };
+        let mk = |next: &mut dyn FnMut(u64) -> u64| {
+            let mut b = Relation::builder(schema());
+            for _ in 0..30 {
+                let g = next(3);
+                let row = [next(5) as f64, next(5) as f64, next(5) as f64];
+                b.add_grouped(g, &row).unwrap();
+            }
+            b.build().unwrap()
+        };
+        let r1 = mk(&mut next);
+        let r2 = mk(&mut next);
+        let cx = JoinContext::new(&r1, &r2, JoinSpec::Equality, &[AggFunc::Sum]).unwrap();
+        let m = cx.materialize();
+        for k in crate::params::k_min(&cx)..=cx.d_joined() {
+            let mut survivors = Vec::new();
+            let c = verify_candidates(&cx, k, &m.pairs, 1, None, |u, v| survivors.push((u, v)))
+                .unwrap();
+            survivors.sort_unstable();
+            let expected: Vec<(u32, u32)> = (0..m.n())
+                .filter(|&i| !(0..m.n()).any(|j| k_dominates(m.row(j), m.row(i), k)))
+                .map(|i| m.pairs[i])
+                .collect();
+            assert_eq!(survivors, expected, "k={k}");
+            assert!(c.dom_tests > 0, "k={k}: {c:?}");
+        }
+    }
+
+    /// Every distinct leg is swept exactly once, however many candidates
+    /// share it: at `a = 0` the comparisons are `n·l` per distinct left
+    /// leg plus `n·l` per distinct right leg, and nothing else.
+    #[test]
+    fn each_leg_is_swept_once() {
+        let rows: Vec<Vec<f64>> = (0..5).map(|i| vec![i as f64, 4.0 - i as f64]).collect();
+        let r1 = rel(&[0; 5], &rows);
+        let r2 = rel(&[0; 5], &rows);
+        let cx = JoinContext::new(&r1, &r2, JoinSpec::Equality, &[]).unwrap();
+        // Left legs {0, 1, 2}, right legs {0, 3}; order is irrelevant.
+        let pairs = [(0, 3), (1, 0), (2, 0), (1, 3), (0, 0)];
+        let c = verify_candidates(&cx, 3, &pairs, 1, None, |_, _| {}).unwrap();
+        assert_eq!(c.attr_cmps, 3 * 5 * 2 + 2 * 5 * 2, "{c:?}");
+        let threaded = verify_candidates(&cx, 3, &pairs, 2, None, |_, _| {}).unwrap();
+        assert_eq!(threaded, c);
+    }
+
+    #[test]
+    fn by_right_leg_groups_stably() {
+        let pairs = [(5, 2), (1, 0), (3, 2), (0, 1), (4, 0)];
+        assert_eq!(
+            by_right_leg(&pairs, 3),
+            vec![(1, 0), (4, 0), (0, 1), (5, 2), (3, 2)]
+        );
+    }
+
+    #[test]
+    fn expired_deadline_stops_the_leg_kernel() {
+        use std::time::Duration;
+        let rows: Vec<Vec<f64>> = (0..4).map(|i| vec![i as f64, 3.0 - i as f64]).collect();
+        let r = rel(&[0; 4], &rows);
+        let cx = JoinContext::new(&r, &r, JoinSpec::Equality, &[]).unwrap();
+        let past = Some(Instant::now() - Duration::from_millis(1));
+        for threads in [1, 2] {
+            assert_eq!(
+                verify_candidates(&cx, 3, &[(0, 0), (1, 1)], threads, past, |_, _| {}),
+                Err(crate::CoreError::DeadlineExceeded)
+            );
+        }
     }
 
     #[test]

@@ -304,14 +304,27 @@ impl<'a> JoinContext<'a> {
     /// every fill / split-side path produces bit-identical values.
     #[inline]
     fn agg_value(&self, slot: &SlotInfo, lrow: &[f64], rrow: &[f64]) -> f64 {
-        let x = lrow[slot.left_attr];
-        let y = rrow[slot.right_attr];
+        Self::combine(slot, lrow[slot.left_attr], rrow[slot.right_attr])
+    }
+
+    #[inline]
+    fn combine(slot: &SlotInfo, x: f64, y: f64) -> f64 {
         // Aggregate in raw space, then restore normalised orientation.
         if slot.negate {
             -slot.func.combine(-x, -y)
         } else {
             slot.func.combine(x, y)
         }
+    }
+
+    /// The normalised joined value of aggregate slot `slot` from the two
+    /// legs' stored values: `x` of the left relation's attribute
+    /// `left().schema().agg_index(slot)`, `y` of its right counterpart.
+    /// The same expression every fill uses, for kernels that gather the
+    /// aggregate columns once instead of reading rows.
+    #[inline]
+    pub fn combine_slot(&self, slot: usize, x: f64, y: f64) -> f64 {
+        Self::combine(&self.slots[slot], x, y)
     }
 
     /// Write only the left-local segment `out[0..l1]` of any `(u, ·)`
@@ -956,6 +969,12 @@ mod tests {
         let r = br.build().unwrap();
         let cx = JoinContext::new(&l, &r, JoinSpec::Equality, &[AggFunc::Max]).unwrap();
         assert_eq!(cx.joined_row(0, 0), vec![0.0, 0.0, -9.0]);
+        // Combining the stored (normalised) column values reproduces it.
+        let attr = l.schema().agg_index(0).unwrap();
+        assert_eq!(
+            cx.combine_slot(0, l.column(attr)[0], r.column(attr)[0]),
+            -9.0
+        );
     }
 
     #[test]

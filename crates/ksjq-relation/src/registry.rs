@@ -241,6 +241,32 @@ impl Catalog {
         self.write().remove(name)
     }
 
+    /// Bind `name` to `relation`, replacing any previous binding under one
+    /// write lock, and return the old handle if there was one. Readers see
+    /// either the old or the new relation, never a missing name — unlike
+    /// [`deregister`](Self::deregister) followed by
+    /// [`register_arc`](Self::register_arc).
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidRelationName`] for an empty or all-whitespace name
+    /// (the old binding, if any, is kept).
+    pub fn replace(
+        &self,
+        name: impl Into<String>,
+        relation: Arc<Relation>,
+    ) -> Result<Option<RelationHandle>> {
+        let name = name.into();
+        if name.trim().is_empty() {
+            return Err(Error::InvalidRelationName(name));
+        }
+        let handle = RelationHandle {
+            name: Arc::from(name.as_str()),
+            relation,
+        };
+        Ok(self.write().insert(name, handle))
+    }
+
     /// All registered names, sorted.
     pub fn names(&self) -> Vec<String> {
         let mut names: Vec<String> = self.read().keys().cloned().collect();
@@ -319,6 +345,40 @@ mod tests {
         assert_eq!(c.get("r1").unwrap().n(), 3);
         assert!(c.contains("r1"));
         assert_eq!(c.len(), 1);
+    }
+
+    #[test]
+    fn replace_swaps_the_binding_in_place() {
+        let c = Catalog::new();
+        assert!(c.replace("r1", Arc::new(rel(1))).unwrap().is_none());
+        let old = c.replace("r1", Arc::new(rel(4))).unwrap().unwrap();
+        assert_eq!(old.n(), 1, "the previous handle is returned");
+        assert_eq!(c.get("r1").unwrap().n(), 4);
+        assert_eq!(c.len(), 1);
+        assert!(matches!(
+            c.replace("  ", Arc::new(rel(2))),
+            Err(Error::InvalidRelationName(_))
+        ));
+    }
+
+    /// A reader resolving the name while another thread rebinds it in a
+    /// loop must never find it missing.
+    #[test]
+    fn replace_never_exposes_a_missing_name() {
+        let c = Catalog::new();
+        c.register("r", rel(1)).unwrap();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for i in 0..2000 {
+                    c.replace("r", Arc::new(rel(1 + i % 3))).unwrap();
+                }
+                done.store(true, std::sync::atomic::Ordering::SeqCst);
+            });
+            while !done.load(std::sync::atomic::Ordering::SeqCst) {
+                assert!(c.get("r").is_some(), "name vanished mid-rebind");
+            }
+        });
     }
 
     #[test]

@@ -46,6 +46,10 @@ pub struct Schema {
 }
 
 impl Schema {
+    /// Most attributes a schema may declare: the grouping algorithm's
+    /// verification kernel keeps per-tuple attribute counts in 16 bits.
+    pub const MAX_ATTRS: usize = u16::MAX as usize;
+
     /// Start building a schema.
     pub fn builder() -> SchemaBuilder {
         SchemaBuilder { attrs: Vec::new() }
@@ -159,11 +163,19 @@ impl SchemaBuilder {
     /// # Errors
     ///
     /// * [`Error::EmptySchema`] if no attributes were added.
+    /// * [`Error::Invalid`] if more than [`Schema::MAX_ATTRS`] were.
     /// * [`Error::InvalidAggSlot`] if aggregate slots are not exactly the
     ///   set `{0, …, a−1}` with each slot used once.
     pub fn build(self) -> Result<Schema> {
         if self.attrs.is_empty() {
             return Err(Error::EmptySchema);
+        }
+        if self.attrs.len() > Schema::MAX_ATTRS {
+            return Err(Error::Invalid(format!(
+                "schema declares {} attributes; at most {} are supported",
+                self.attrs.len(),
+                Schema::MAX_ATTRS
+            )));
         }
         let mut slots: Vec<usize> = self
             .attrs
@@ -216,6 +228,15 @@ mod tests {
     #[test]
     fn empty_schema_rejected() {
         assert_eq!(Schema::builder().build(), Err(Error::EmptySchema));
+    }
+
+    #[test]
+    fn oversized_schema_rejected() {
+        assert!(Schema::uniform(Schema::MAX_ATTRS).is_ok());
+        assert!(matches!(
+            Schema::uniform(Schema::MAX_ATTRS + 1),
+            Err(Error::Invalid(_))
+        ));
     }
 
     #[test]

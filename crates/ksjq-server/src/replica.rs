@@ -3,7 +3,7 @@
 //! A replica is an ordinary [`Server`](crate::Server) whose catalog was
 //! seeded by replaying the primary's registrations — `SYNC` for the name
 //! list, `SYNC <name>` for each relation as annotated CSV, re-registered
-//! locally through the normal `register_csv` path. Row *order* is
+//! locally through the normal `parse_csv` path and rebound atomically. Row *order* is
 //! preserved by the export (results are row-index pairs, so that is the
 //! part that must match); group ids may differ between replicas because
 //! each catalog runs its own string dictionary, which is invisible on
@@ -29,10 +29,12 @@ fn clone_relations(engine: &Engine, client: &mut KsjqClient, names: &[String]) -
     }
     for name in names {
         let csv = client.sync_relation(name)?;
-        catalog.deregister(name);
-        catalog.register_csv(name, &csv).map_err(|e| {
-            ClientError::Protocol(format!("primary sent unloadable CSV for {name:?}: {e}"))
-        })?;
+        catalog
+            .parse_csv(&csv)
+            .and_then(|rel| catalog.replace(name.as_str(), std::sync::Arc::new(rel)))
+            .map_err(|e| {
+                ClientError::Protocol(format!("primary sent unloadable CSV for {name:?}: {e}"))
+            })?;
     }
     Ok(())
 }

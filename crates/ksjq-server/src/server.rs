@@ -1455,17 +1455,12 @@ fn load(shared: &Shared, name: &str, source: LoadSource, wire: Option<&str>) -> 
         .map(|h| h.n().saturating_mul(h.schema().d()))
         .unwrap_or(0);
     let catalog = shared.engine.catalog();
-    let registered = match source {
-        // LOAD is an upsert: a name collision means rebind. The old
-        // relation is only dropped once the replacement parsed, so a
-        // malformed re-LOAD leaves the previous binding untouched.
-        LoadSource::Inline { csv } => match catalog.register_csv(name, &csv) {
-            Err(ksjq_relation::Error::DuplicateRelation(_)) => {
-                let _ = catalog.deregister(name);
-                catalog.register_csv(name, &csv).map_err(|e| e.to_string())
-            }
-            other => other.map_err(|e| e.to_string()),
-        },
+    // LOAD is an upsert. The replacement is parsed (or generated) and
+    // budget-checked first, then published with one atomic rebind, so a
+    // malformed or over-budget re-LOAD leaves the previous binding
+    // untouched and a concurrent QUERY never finds the name missing.
+    let parsed = match source {
+        LoadSource::Inline { csv } => catalog.parse_csv(&csv).map_err(|e| e.to_string()),
         LoadSource::Synthetic(spec) => {
             if spec.n.saturating_mul(spec.d) > MAX_SYNTHETIC_CELLS {
                 return Response::err(
@@ -1473,54 +1468,39 @@ fn load(shared: &Shared, name: &str, source: LoadSource, wire: Option<&str>) -> 
                     format!("synthetic relation too large: n·d must stay ≤ {MAX_SYNTHETIC_CELLS}"),
                 );
             }
-            reencode_keys(catalog, spec.dataset_spec().generate()).and_then(|rel| {
-                // Generation already succeeded, so the old binding can
-                // go before the new one lands (concurrent LOADs are
-                // serialised by the cells lock above).
-                let _ = catalog.deregister(name);
-                shared.engine.register(name, rel).map_err(|e| e.to_string())
-            })
+            reencode_keys(catalog, spec.dataset_spec().generate())
         }
     };
-    match registered {
-        Ok(handle) => {
-            let added = handle.n().saturating_mul(handle.schema().d());
-            let budget = shared.config.max_catalog_cells;
-            let after = cells.saturating_sub(replaced).saturating_add(added);
-            if after > budget {
-                // Over budget: take the relation back out. If this LOAD
-                // replaced an old relation under the same name, that old
-                // relation is gone too — the error says so.
-                let _ = shared.engine.catalog().deregister(name);
-                *cells = cells.saturating_sub(replaced);
-                shared.catalog_epoch.fetch_add(1, Ordering::SeqCst);
-                shared.cache.invalidate_relation(name);
-                return Response::err(
-                    ErrorCode::Invalid,
-                    format!(
-                        "catalog cell budget exceeded: {after} > {budget} (relation {name:?} not kept)"
-                    ),
-                );
-            }
-            *cells = after;
-            // Catalog changed under this name: only results whose plans
-            // reference it can be stale, so only those are evicted. The
-            // versioned chain (if any) is derived from the old binding
-            // and rebuilds lazily on the next APPEND.
-            drop_live(shared, name);
-            shared.catalog_epoch.fetch_add(1, Ordering::SeqCst);
-            shared.cache.invalidate_relation(name);
-            if let Err(e) = log_mutation(shared, wire) {
-                return *e;
-            }
-            Response::Ok(format!(
-                "loaded {name} n={} d={}",
-                handle.n(),
-                handle.schema().d()
-            ))
-        }
-        Err(message) => Response::err(ErrorCode::Parse, message),
+    let rel = match parsed {
+        Ok(rel) => rel,
+        Err(message) => return Response::err(ErrorCode::Parse, message),
+    };
+    let (n, d) = (rel.n(), rel.schema().d());
+    let budget = shared.config.max_catalog_cells;
+    let after = cells
+        .saturating_sub(replaced)
+        .saturating_add(n.saturating_mul(d));
+    if after > budget {
+        return Response::err(
+            ErrorCode::Invalid,
+            format!("catalog cell budget exceeded: {after} > {budget} ({name:?} unchanged)"),
+        );
     }
+    if let Err(e) = catalog.replace(name, Arc::new(rel)) {
+        return Response::err(ErrorCode::Parse, e.to_string());
+    }
+    *cells = after;
+    // Catalog changed under this name: only results whose plans
+    // reference it can be stale, so only those are evicted. The
+    // versioned chain (if any) is derived from the old binding and
+    // rebuilds lazily on the next APPEND.
+    drop_live(shared, name);
+    shared.catalog_epoch.fetch_add(1, Ordering::SeqCst);
+    shared.cache.invalidate_relation(name);
+    if let Err(e) = log_mutation(shared, wire) {
+        return *e;
+    }
+    Response::Ok(format!("loaded {name} n={n} d={d}"))
 }
 
 /// Re-encode a generated relation's numeric group ids through the
@@ -1766,8 +1746,7 @@ fn stage(shared: &Shared, name: &str, csv: &str, wire: Option<&str>) -> Response
 /// `COMMIT <name>`: atomically publish staged data as an upsert. A
 /// staged *delta* (from `APPEND … STAGE`) applies through the versioned
 /// append path; a staged *relation* (from `STAGE`) replaces the binding.
-/// A budget rejection leaves the *old* binding live — unlike a plain
-/// over-budget `LOAD`, nothing is lost.
+/// A budget rejection leaves the *old* binding live, as for `LOAD`.
 fn commit(shared: &Shared, name: &str, wire: Option<&str>) -> Response {
     // Cells lock first: all catalog mutations serialise here so WAL
     // record order is apply order.
@@ -1808,27 +1787,19 @@ fn commit(shared: &Shared, name: &str, wire: Option<&str>) -> Response {
         );
     }
     let (n, d) = (rel.n(), rel.schema().d());
-    let _ = catalog.deregister(name);
-    match catalog.register(name, rel) {
-        Ok(_) => {
-            *cells = after;
-            drop_live(shared, name);
-            shared.catalog_epoch.fetch_add(1, Ordering::SeqCst);
-            shared.cache.invalidate_relation(name);
-            if let Err(e) = log_mutation(shared, wire) {
-                return *e;
-            }
-            Response::Ok(format!("committed {name} n={n} d={d}"))
-        }
-        Err(e) => {
-            // Unreachable with wire-validated names, but stay consistent:
-            // the old binding is gone, so account and invalidate for it.
-            *cells = cells.saturating_sub(replaced);
-            shared.catalog_epoch.fetch_add(1, Ordering::SeqCst);
-            shared.cache.invalidate_relation(name);
-            Response::err(ErrorCode::Internal, e.to_string())
-        }
+    // Unreachable with wire-validated names; a failed rebind keeps the
+    // old binding, so nothing needs undoing.
+    if let Err(e) = catalog.replace(name, Arc::new(rel)) {
+        return Response::err(ErrorCode::Internal, e.to_string());
     }
+    *cells = after;
+    drop_live(shared, name);
+    shared.catalog_epoch.fetch_add(1, Ordering::SeqCst);
+    shared.cache.invalidate_relation(name);
+    if let Err(e) = log_mutation(shared, wire) {
+        return *e;
+    }
+    Response::Ok(format!("committed {name} n={n} d={d}"))
 }
 
 /// `ABORT <name>`: drop staged data — a staged relation and/or a staged
@@ -2041,13 +2012,10 @@ fn apply_append(
     // result) or is already correct (new-catalog result) — in both cases
     // it must not be maintained, and it is not in this snapshot.
     let candidates = shared.cache.entries_for_relation(name);
-    let _ = catalog.deregister(name);
-    if let Err(e) = catalog.register_arc(name, snapshot.clone()) {
-        // Unreachable with wire-validated names, but stay consistent:
-        // the old binding is gone, so account and invalidate for it.
-        *cells = cells.saturating_sub(old_n.saturating_mul(d));
-        shared.catalog_epoch.fetch_add(1, Ordering::SeqCst);
-        shared.cache.invalidate_relation(name);
+    if let Err(e) = catalog.replace(name, snapshot.clone()) {
+        // Unreachable with wire-validated names. The old binding stays
+        // live; only the versioned chain ran ahead of it.
+        drop_live(shared, name);
         return Response::err(ErrorCode::Internal, e.to_string());
     }
     *cells = after;
@@ -2187,11 +2155,9 @@ fn delete(shared: &Shared, name: &str, keys: &[String], wire: Option<&str>) -> R
         .snapshot()
         .clone();
     drop(live);
-    let _ = catalog.deregister(name);
-    if let Err(e) = catalog.register_arc(name, snapshot.clone()) {
-        *cells = cells.saturating_sub(old.n().saturating_mul(d));
-        shared.catalog_epoch.fetch_add(1, Ordering::SeqCst);
-        shared.cache.invalidate_relation(name);
+    if let Err(e) = catalog.replace(name, snapshot.clone()) {
+        // Unreachable with wire-validated names; see `apply_append`.
+        drop_live(shared, name);
         return Response::err(ErrorCode::Internal, e.to_string());
     }
     *cells = cells.saturating_sub(removed_total.saturating_mul(d));

@@ -540,6 +540,70 @@ mod metamorphic {
 
 // ------------------------------------------------------------------ fuzz
 
+/// A `QUERY` racing `APPEND`s to the same relation must never find the
+/// name missing: every rebind (LOAD, COMMIT, APPEND, DELETE) publishes
+/// the new relation with one atomic catalog swap. Two readers loop on the
+/// query while one writer appends rows on cities that join nothing, so
+/// every answer is also Table 3.
+#[test]
+fn queries_racing_appends_never_see_a_missing_relation() {
+    use std::sync::atomic::AtomicBool;
+    const APPENDS: usize = 1500;
+    let (out_csv, in_csv) = paper_csvs();
+    let config = ServerConfig {
+        cache_entries: 0,
+        ..ephemeral()
+    };
+    let server = Server::start(Engine::new(), &config).unwrap();
+    let mut setup = KsjqClient::connect(server.addr()).unwrap();
+    setup.load_csv("outbound", &out_csv).unwrap();
+    setup.load_csv("inbound", &in_csv).unwrap();
+    let table3 = vec![(0, 2), (2, 0), (4, 4), (5, 5)];
+    let done = AtomicBool::new(false);
+    let (errors, queries) = std::thread::scope(|s| {
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut client = KsjqClient::connect(server.addr()).unwrap();
+                    let plan = PlanSpec::new("outbound", "inbound").k(7);
+                    let (mut errors, mut queries) = (Vec::new(), 0usize);
+                    while !done.load(Ordering::SeqCst) {
+                        match client.query(&plan) {
+                            Ok(rows) => assert_eq!(rows.pairs, table3),
+                            Err(e) => errors.push(format!("QUERY: {e}")),
+                        }
+                        queries += 1;
+                    }
+                    (errors, queries)
+                })
+            })
+            .collect();
+        let mut client = KsjqClient::connect(server.addr()).unwrap();
+        let mut errors = Vec::new();
+        for i in 0..APPENDS {
+            if let Err(e) = client.append_rows("outbound", &format!("X{i},{i},1,2,3")) {
+                errors.push(format!("APPEND: {e}"));
+            }
+        }
+        done.store(true, Ordering::SeqCst);
+        let mut queries = 0;
+        for reader in readers {
+            let (e, q) = reader.join().unwrap();
+            errors.extend(e);
+            queries += q;
+        }
+        (errors, queries)
+    });
+    assert!(queries > 0);
+    assert!(
+        errors.is_empty(),
+        "{} ERR frames in {queries} queries and {APPENDS} appends, first: {:?}",
+        errors.len(),
+        errors.first()
+    );
+    server.stop().unwrap();
+}
+
 #[test]
 fn junk_commands_never_kill_the_session() {
     let server = Server::start(Engine::new(), &ephemeral()).unwrap();

@@ -473,7 +473,7 @@ proptest! {
     }
 
     /// The columnar verifier's verdicts must equal the row-major oracle's
-    /// on all three entry points, over arbitrary aggregate joins and
+    /// on both of its entry points, over arbitrary aggregate joins and
     /// arbitrary target sets.
     #[test]
     fn columnar_check_equals_oracle(
@@ -498,11 +498,6 @@ proptest! {
                 columnar.dominated_via_left(&lt, &cand),
                 oracle.dominated_via_left(&lt, &cand),
                 "via_left candidate {} k={}", i, k
-            );
-            prop_assert_eq!(
-                columnar.dominated_via_right(&rt, &cand),
-                oracle.dominated_via_right(&rt, &cand),
-                "via_right candidate {} k={}", i, k
             );
             prop_assert_eq!(
                 columnar.dominated_via_both(&lt, &rt, &cand),
