@@ -16,7 +16,7 @@ use ksjq_relation::{
     dom_counts, dom_counts_block, dom_counts_block_columnar, dom_counts_partial,
     dom_counts_partial_block_columnar, k_dominates,
 };
-use ksjq_skyline::{k_dominant_skyline, KdomAlgo};
+use ksjq_skyline::{k_dominant_skyline, KdomAlgo, MatrixView};
 
 fn bench_dominance_kernel(c: &mut Criterion) {
     let spec = DatasetSpec {
@@ -28,12 +28,15 @@ fn bench_dominance_kernel(c: &mut Criterion) {
         seed: 3,
     };
     let rel = spec.generate();
+    // The row-at-a-time kernels read gathered rows.
+    let rows = rel.gather_rows();
+    let row = |i: usize| &rows[i * 12..(i + 1) * 12];
     let mut group = c.benchmark_group("kernel_dominance");
     group.bench_function("dom_counts_12d", |b| {
         b.iter(|| {
             let mut acc = 0u32;
             for i in 0..999u32 {
-                acc += dom_counts(rel.row_at(i as usize), rel.row_at(i as usize + 1)).le;
+                acc += dom_counts(row(i as usize), row(i as usize + 1)).le;
             }
             acc
         })
@@ -43,8 +46,7 @@ fn bench_dominance_kernel(c: &mut Criterion) {
             b.iter(|| {
                 let mut acc = 0usize;
                 for i in 0..999u32 {
-                    acc +=
-                        k_dominates(rel.row_at(i as usize), rel.row_at(i as usize + 1), k) as usize;
+                    acc += k_dominates(row(i as usize), row(i as usize + 1), k) as usize;
                 }
                 acc
             })
@@ -57,29 +59,24 @@ fn bench_dominance_kernel(c: &mut Criterion) {
         b.iter(|| {
             let mut acc = 0u32;
             for i in 0..999u32 {
-                acc += dom_counts_partial(
-                    rel.row_at(i as usize),
-                    &attrs,
-                    &rel.row_at(i as usize + 1)[..6],
-                )
-                .le;
+                acc += dom_counts_partial(row(i as usize), &attrs, &row(i as usize + 1)[..6]).le;
             }
             acc
         })
     });
     group.bench_function("dom_counts_block_1000x12", |b| {
-        let probe = rel.row_at(0).to_vec();
+        let probe = row(0).to_vec();
         let mut out = Vec::with_capacity(rel.n());
         b.iter(|| {
             out.clear();
-            dom_counts_block(rel.values(), &probe, &mut out);
+            dom_counts_block(&rows, &probe, &mut out);
             out.iter().map(|c| c.le).sum::<u32>()
         })
     });
     // Columnar counterparts: the attribute-major lane-blocked sweeps the
     // production target-set scan and verifier are built on.
     group.bench_function("dom_counts_block_columnar_1000x12", |b| {
-        let probe = rel.row_at(0).to_vec();
+        let probe = row(0).to_vec();
         let mut out = Vec::with_capacity(rel.n());
         b.iter(|| {
             out.clear();
@@ -88,7 +85,7 @@ fn bench_dominance_kernel(c: &mut Criterion) {
         })
     });
     group.bench_function("dom_counts_partial_columnar_1000x6of12", |b| {
-        let probe: Vec<f64> = attrs.iter().map(|&a| rel.row_at(0)[a]).collect();
+        let probe: Vec<f64> = attrs.iter().map(|&a| row(0)[a]).collect();
         let mut out = Vec::with_capacity(rel.n());
         b.iter(|| {
             out.clear();
@@ -168,6 +165,8 @@ fn bench_kdom_algorithms(c: &mut Criterion) {
         seed: 9,
     };
     let rel = spec.generate();
+    let rows = rel.gather_rows();
+    let view = MatrixView::new(rel.d(), &rows);
     let all: Vec<u32> = (0..rel.n() as u32).collect();
     let mut group = c.benchmark_group("kernel_kdom_single_relation");
     group.sample_size(10);
@@ -178,7 +177,7 @@ fn bench_kdom_algorithms(c: &mut Criterion) {
         ("tsa_presort", KdomAlgo::TsaPresort),
     ] {
         group.bench_function(BenchmarkId::new(name, 5), |b| {
-            b.iter(|| k_dominant_skyline(&rel, &all, 5, algo).len())
+            b.iter(|| k_dominant_skyline(&view, &all, 5, algo).len())
         });
     }
     group.finish();

@@ -17,7 +17,7 @@
 use crate::params::KsjqParams;
 use ksjq_join::{JoinContext, JoinSpec};
 use ksjq_relation::Relation;
-use ksjq_skyline::{k_dominant_skyline, k_dominated_by_any, KdomAlgo};
+use ksjq_skyline::{k_dominant_skyline, k_dominated_by_any, KdomAlgo, MatrixView, RowAccess};
 
 /// Classification of one tuple (paper Defs. 1–3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -76,10 +76,14 @@ fn classify_side<'c>(
 ) -> Vec<Category> {
     let n = rel.n();
     let all: Vec<u32> = (0..n as u32).collect();
+    // The row-at-a-time scans read whole rows: gather them once into
+    // scratch that lives only as long as this call.
+    let gathered = rel.gather_rows();
+    let rows = MatrixView::new(rel.d(), &gathered);
     // SS = the global k′-dominant skyline (Def. 1). The scan algorithms
     // are inherently sequential; only the per-tuple refinement below
     // shards.
-    let global = k_dominant_skyline(rel, &all, k_prime, kdom);
+    let global = k_dominant_skyline(&rows, &all, k_prime, kdom);
     let mut out = vec![Category::NN; n];
     for &t in &global {
         out[t as usize] = Category::SS;
@@ -94,9 +98,8 @@ fn classify_side<'c>(
                 continue;
             }
             let t = (lo + i) as u32;
-            let row = rel.row_at(t as usize);
             let dominated_in_group = match coverers(t) {
-                CovererSet::Slice(s) => k_dominated_by_any(rel, row, s, k_prime, t),
+                CovererSet::Slice(s) => k_dominated_by_any(&rows, rows.row(t), s, k_prime, t),
                 // Whole relation: t is non-SS, so it *is* dominated globally.
                 CovererSet::All => true,
             };

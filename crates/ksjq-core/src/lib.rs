@@ -38,8 +38,9 @@
 //! assert_eq!(result.len(), 4);
 //! ```
 //!
-//! The borrowed-lifetime [`KsjqQuery`] builder remains as a thin shim over
-//! the same execution path for single-shot, in-scope use.
+//! For in-scope work over borrowed relations, bind a
+//! [`JoinContext`](ksjq_join::JoinContext) and call an algorithm directly
+//! ([`ksjq_grouping`], [`find_k_at_least`], …).
 //!
 //! ## Soundness notes
 //!
@@ -89,7 +90,7 @@ pub use naive::ksjq_naive;
 pub use output::KsjqOutput;
 pub use params::{k_max, k_min, validate_k, KsjqParams};
 pub use plan::{Goal, QueryPlan, RelationRef};
-pub use query::{k_range, Algorithm, KsjqQuery, KsjqQueryBuilder};
+pub use query::{k_range, Algorithm};
 pub use stats::{Counts, ExecStats, PhaseTimes};
 pub use target::{
     attr_sums, order_by_attr_sum, precompute_target_sets, target_set, target_set_for_values,

@@ -37,6 +37,7 @@ use crate::stats::ExecStats;
 use crate::target::{attr_sums, order_by_attr_sum, target_set_for_values, TargetScratch};
 use crate::verify::{CheckCounters, ColumnarCheck};
 use ksjq_join::{JoinContext, JoinSpec};
+use ksjq_relation::TupleId;
 use std::collections::HashSet;
 use std::time::Instant;
 
@@ -147,30 +148,36 @@ pub fn maintain_append(
     // Re-verify cached pairs against new-leg dominators only. The filter
     // below is the target-set membership test of `target_set_for_values`
     // (probe position `i` holds the joined row's `locals[i]` value)
-    // restricted to the dominator legs.
+    // restricted to the dominator legs, whose local values are gathered
+    // once here. Only the left locals (`row[..l1]`) feed the filter; the
+    // rest of the joined row is filled for the pairs it keeps.
+    let l1 = locals.len();
+    let leg_locals: Vec<f64> = dominator_legs
+        .iter()
+        .flat_map(|&t| locals.iter().map(move |&attr| left.value(TupleId(t), attr)))
+        .collect();
+    let mut row = vec![0.0; cx.d_joined()];
     for &(u, v) in &cached.pairs {
         if dominator_legs.is_empty() {
             pairs.push((u.0, v.0));
             continue;
         }
-        let row = cx.joined_row(u.0, v.0);
+        cx.fill_left(u.0, &mut row);
         let mut targets: Vec<u32> = dominator_legs
             .iter()
-            .copied()
-            .filter(|&t| {
-                let x = left.row_at(t as usize);
-                let le = locals
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, &attr)| x[attr] <= row[i])
-                    .count();
+            .enumerate()
+            .filter(|&(i, _)| {
+                let leg = &leg_locals[i * l1..(i + 1) * l1];
+                let le = leg.iter().zip(&row[..l1]).filter(|(x, y)| x <= y).count();
                 le >= params.k1_pp
             })
+            .map(|(_, &t)| t)
             .collect();
         if targets.is_empty() {
             pairs.push((u.0, v.0));
             continue;
         }
+        cx.fill_rest(u.0, v.0, &mut row);
         order_by_attr_sum(&mut targets, &scores);
         stats.cached_rechecked += 1;
         if checker.dominated_via_left(&targets, &row) {
@@ -182,9 +189,9 @@ pub fn maintain_append(
 
     // Verify each new-leg candidate against the full joined relation.
     for &(u, v) in &candidates {
-        let row = cx.joined_row(u, v);
+        cx.fill(u, v, &mut row);
         let mut targets =
-            target_set_for_values(left, locals, &row[..cx.l1()], params.k1_pp, &mut scratch);
+            target_set_for_values(left, locals, &row[..l1], params.k1_pp, &mut scratch);
         order_by_attr_sum(&mut targets, &scores);
         stats.candidates_checked += 1;
         if !checker.dominated_via_left(&targets, &row) {

@@ -287,7 +287,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn defaults_match_legacy_builder() {
+    fn defaults() {
         let p = QueryPlan::new("a", "b");
         assert_eq!(p.spec, JoinSpec::Equality);
         assert!(p.funcs.is_empty());

@@ -1,33 +1,36 @@
-//! The high-level query API.
+//! Algorithm choice and the single dispatch point behind every execution
+//! path.
 //!
-//! [`KsjqQuery`] wraps a [`JoinContext`], a `k` (or a δ for automatic `k`
-//! selection) and an algorithm choice behind a builder:
+//! [`Algorithm`] names the paper's three KSJQ algorithms; `dispatch` is
+//! where the engine's [`PreparedQuery`](crate::engine::PreparedQuery)
+//! turns that choice into a call. [`k_range`] reports the admissible `k`
+//! of a join. Queries themselves are described as owned
+//! [`QueryPlan`](crate::plan::QueryPlan)s and run through the
+//! [`Engine`](crate::engine::Engine):
 //!
 //! ```
-//! use ksjq_core::{Algorithm, KsjqQuery};
+//! use ksjq_core::{Algorithm, Engine, Goal, QueryPlan};
 //! use ksjq_datagen::paper_flights;
 //!
 //! let pf = paper_flights(false);
-//! let query = KsjqQuery::builder(&pf.outbound, &pf.inbound)
-//!     .k(7)
-//!     .algorithm(Algorithm::Grouping)
-//!     .build()
-//!     .unwrap();
-//! let result = query.execute().unwrap();
+//! let engine = Engine::new();
+//! engine.register("outbound", pf.outbound).unwrap();
+//! engine.register("inbound", pf.inbound).unwrap();
+//! let plan = QueryPlan::new("outbound", "inbound")
+//!     .goal(Goal::Exact(7))
+//!     .algorithm(Algorithm::Grouping);
+//! let result = engine.prepare(&plan).unwrap().execute().unwrap();
 //! assert_eq!(result.len(), 4); // Table 3's final skyline
 //! ```
 
 use crate::config::Config;
 use crate::dominator_based::ksjq_dominator_based;
 use crate::error::CoreResult;
-use crate::find_k::{find_k_at_least, find_k_at_most, FindKReport, FindKStrategy};
 use crate::grouping::ksjq_grouping;
 use crate::naive::ksjq_naive;
 use crate::output::KsjqOutput;
 use crate::params::{k_max, k_min};
-use ksjq_join::{AggFunc, JoinContext, JoinSpec};
-use ksjq_relation::Relation;
-use ksjq_skyline::KdomAlgo;
+use ksjq_join::JoinContext;
 
 /// Which KSJQ algorithm executes the query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -70,9 +73,8 @@ impl std::str::FromStr for Algorithm {
     }
 }
 
-/// The single algorithm-dispatch point: every public execution path —
-/// [`KsjqQuery::execute`], [`KsjqQuery::execute_with`] and the engine's
-/// `PreparedQuery::execute` — funnels through here.
+/// The single algorithm-dispatch point: every `PreparedQuery` execution
+/// funnels through here.
 pub(crate) fn dispatch(
     cx: &JoinContext<'_>,
     k: usize,
@@ -87,191 +89,6 @@ pub(crate) fn dispatch(
     }
 }
 
-/// A bound and validated KSJQ query over *borrowed* relations.
-///
-/// **Deprecated in spirit**: this is the legacy single-shot entry point,
-/// kept as a thin shim over the same execution path the engine uses. It
-/// borrows its relations, so it cannot outlive them, cannot be sent to
-/// another thread while they are stack-local, and cannot name relations.
-/// New code should register relations with an
-/// [`Engine`](crate::engine::Engine) and describe the query as an owned
-/// [`QueryPlan`](crate::plan::QueryPlan):
-///
-/// ```
-/// use ksjq_core::{Engine, Goal, QueryPlan};
-/// use ksjq_datagen::paper_flights;
-///
-/// let pf = paper_flights(false);
-/// let engine = Engine::new();
-/// engine.register("outbound", pf.outbound).unwrap();
-/// engine.register("inbound", pf.inbound).unwrap();
-/// let plan = QueryPlan::new("outbound", "inbound").goal(Goal::Exact(7));
-/// let result = engine.prepare(&plan).unwrap().execute().unwrap();
-/// assert_eq!(result.len(), 4);
-/// ```
-#[derive(Debug)]
-pub struct KsjqQuery<'a> {
-    cx: JoinContext<'a>,
-    k: usize,
-    algorithm: Algorithm,
-    config: Config,
-}
-
-impl<'a> KsjqQuery<'a> {
-    /// Start building a query over `left ⋈ right`.
-    pub fn builder(left: &'a Relation, right: &'a Relation) -> KsjqQueryBuilder<'a> {
-        KsjqQueryBuilder {
-            left,
-            right,
-            spec: JoinSpec::Equality,
-            funcs: Vec::new(),
-            k: None,
-            algorithm: Algorithm::default(),
-            config: Config::default(),
-        }
-    }
-
-    /// The bound join context.
-    pub fn context(&self) -> &JoinContext<'a> {
-        &self.cx
-    }
-
-    /// The query's `k`.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Execute with the configured algorithm.
-    pub fn execute(&self) -> CoreResult<KsjqOutput> {
-        dispatch(&self.cx, self.k, self.algorithm, &self.config)
-    }
-
-    /// Execute with an explicitly chosen algorithm (ignoring the built-in
-    /// choice) — convenient for comparisons.
-    pub fn execute_with(&self, algorithm: Algorithm) -> CoreResult<KsjqOutput> {
-        dispatch(&self.cx, self.k, algorithm, &self.config)
-    }
-}
-
-/// Builder for [`KsjqQuery`].
-#[derive(Debug)]
-pub struct KsjqQueryBuilder<'a> {
-    left: &'a Relation,
-    right: &'a Relation,
-    spec: JoinSpec,
-    funcs: Vec<AggFunc>,
-    k: Option<usize>,
-    algorithm: Algorithm,
-    config: Config,
-}
-
-impl<'a> KsjqQueryBuilder<'a> {
-    /// Join kind (default: equality).
-    pub fn join(mut self, spec: JoinSpec) -> Self {
-        self.spec = spec;
-        self
-    }
-
-    /// Aggregation function for the next slot (call once per slot, in slot
-    /// order), or use [`aggregates`](Self::aggregates).
-    pub fn aggregate(mut self, func: AggFunc) -> Self {
-        self.funcs.push(func);
-        self
-    }
-
-    /// Aggregation functions for all slots at once.
-    pub fn aggregates(mut self, funcs: &[AggFunc]) -> Self {
-        self.funcs = funcs.to_vec();
-        self
-    }
-
-    /// The number of attributes a dominator must be at least as good in.
-    /// Required unless the query is executed through the find-k helpers.
-    pub fn k(mut self, k: usize) -> Self {
-        self.k = Some(k);
-        self
-    }
-
-    /// Algorithm choice (default: grouping).
-    pub fn algorithm(mut self, algorithm: Algorithm) -> Self {
-        self.algorithm = algorithm;
-        self
-    }
-
-    /// Single-relation k-dominant skyline subroutine (default: TSA).
-    pub fn kdom(mut self, kdom: KdomAlgo) -> Self {
-        self.config.kdom = kdom;
-        self
-    }
-
-    /// Full execution configuration.
-    pub fn config(mut self, config: Config) -> Self {
-        self.config = config;
-        self
-    }
-
-    fn context(&self) -> CoreResult<JoinContext<'a>> {
-        Ok(JoinContext::new(
-            self.left,
-            self.right,
-            self.spec,
-            &self.funcs,
-        )?)
-    }
-
-    /// Validate and build the query. `k` defaults to the maximum
-    /// admissible value (the ordinary skyline join) if unset.
-    pub fn build(self) -> CoreResult<KsjqQuery<'a>> {
-        let cx = self.context()?;
-        let k = self.k.unwrap_or_else(|| k_max(&cx));
-        // Validate eagerly so errors surface at build time.
-        crate::params::validate_k(&cx, k)?;
-        Ok(KsjqQuery {
-            cx,
-            k,
-            algorithm: self.algorithm,
-            config: self.config,
-        })
-    }
-
-    /// Problem 3: build and pick the smallest `k` with at least `delta`
-    /// skyline tuples. Returns the query (bound to the found `k`) plus the
-    /// find-k report.
-    pub fn build_with_at_least(
-        self,
-        delta: usize,
-        strategy: FindKStrategy,
-    ) -> CoreResult<(KsjqQuery<'a>, FindKReport)> {
-        let cx = self.context()?;
-        let report = find_k_at_least(&cx, delta, strategy, &self.config)?;
-        let query = KsjqQuery {
-            cx,
-            k: report.k,
-            algorithm: self.algorithm,
-            config: self.config,
-        };
-        Ok((query, report))
-    }
-
-    /// Problem 4: build and pick the largest `k` with at most `delta`
-    /// skyline tuples.
-    pub fn build_with_at_most(
-        self,
-        delta: usize,
-        strategy: FindKStrategy,
-    ) -> CoreResult<(KsjqQuery<'a>, FindKReport)> {
-        let cx = self.context()?;
-        let report = find_k_at_most(&cx, delta, strategy, &self.config)?;
-        let query = KsjqQuery {
-            cx,
-            k: report.k,
-            algorithm: self.algorithm,
-            config: self.config,
-        };
-        Ok((query, report))
-    }
-}
-
 /// The valid `k` range of a prospective query, for UIs and harnesses:
 /// `(min, max)` inclusive.
 pub fn k_range(cx: &JoinContext<'_>) -> (usize, usize) {
@@ -281,70 +98,65 @@ pub fn k_range(cx: &JoinContext<'_>) -> (usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Engine;
+    use crate::find_k::{find_k_at_least, FindKStrategy};
+    use crate::plan::{Goal, QueryPlan};
     use ksjq_datagen::paper_flights;
+    use ksjq_join::JoinSpec;
+
+    fn flights_engine() -> Engine {
+        let pf = paper_flights(false);
+        let engine = Engine::new();
+        engine.register("outbound", pf.outbound).unwrap();
+        engine.register("inbound", pf.inbound).unwrap();
+        engine
+    }
 
     #[test]
-    fn builder_default_k_is_max() {
-        let pf = paper_flights(false);
-        let q = KsjqQuery::builder(&pf.outbound, &pf.inbound)
-            .build()
-            .unwrap();
-        assert_eq!(q.k(), 8); // d1 + d2 = 4 + 4
+    fn default_goal_runs_at_max_k() {
+        let plan = QueryPlan::new("outbound", "inbound");
+        let prepared = flights_engine().prepare(&plan).unwrap();
+        assert_eq!(prepared.k(), 8); // d1 + d2 = 4 + 4
     }
 
     #[test]
     fn all_algorithms_same_answer() {
         let pf = paper_flights(false);
-        let q = KsjqQuery::builder(&pf.outbound, &pf.inbound)
-            .k(7)
-            .build()
-            .unwrap();
-        let a = q.execute_with(Algorithm::Naive).unwrap();
-        let b = q.execute_with(Algorithm::Grouping).unwrap();
-        let c = q.execute_with(Algorithm::DominatorBased).unwrap();
+        let cx = JoinContext::new(&pf.outbound, &pf.inbound, JoinSpec::Equality, &[]).unwrap();
+        let cfg = Config::default();
+        let a = dispatch(&cx, 7, Algorithm::Naive, &cfg).unwrap();
+        let b = dispatch(&cx, 7, Algorithm::Grouping, &cfg).unwrap();
+        let c = dispatch(&cx, 7, Algorithm::DominatorBased, &cfg).unwrap();
         assert_eq!(a.pairs, b.pairs);
         assert_eq!(a.pairs, c.pairs);
         assert_eq!(a.len(), 4);
     }
 
     #[test]
-    fn invalid_k_fails_at_build() {
-        let pf = paper_flights(false);
-        assert!(KsjqQuery::builder(&pf.outbound, &pf.inbound)
-            .k(4)
-            .build()
-            .is_err());
-        assert!(KsjqQuery::builder(&pf.outbound, &pf.inbound)
-            .k(9)
-            .build()
-            .is_err());
+    fn invalid_k_fails_at_prepare() {
+        let engine = flights_engine();
+        for k in [4, 9] {
+            let plan = QueryPlan::new("outbound", "inbound").goal(Goal::Exact(k));
+            assert!(engine.prepare(&plan).is_err(), "k = {k}");
+        }
     }
 
     #[test]
-    fn build_with_at_least_small_delta() {
+    fn at_least_small_delta_is_minimal() {
         let pf = paper_flights(false);
-        let (q, report) = KsjqQuery::builder(&pf.outbound, &pf.inbound)
-            .build_with_at_least(1, FindKStrategy::Binary)
-            .unwrap();
+        let cx = JoinContext::new(&pf.outbound, &pf.inbound, JoinSpec::Equality, &[]).unwrap();
+        let cfg = Config::default();
+        let report = find_k_at_least(&cx, 1, FindKStrategy::Binary, &cfg).unwrap();
         assert!(report.satisfied);
-        assert!(!q.execute().unwrap().is_empty());
-        // Minimality.
-        assert_eq!(
-            report.k,
-            k_range(q.context()).0.max(
-                (k_range(q.context()).0..=k_range(q.context()).1)
-                    .find(|&k| {
-                        !KsjqQuery::builder(&pf.outbound, &pf.inbound)
-                            .k(k)
-                            .build()
-                            .unwrap()
-                            .execute()
-                            .unwrap()
-                            .is_empty()
-                    })
+        let (lo, hi) = k_range(&cx);
+        let first_nonempty = (lo..=hi)
+            .find(|&k| {
+                !dispatch(&cx, k, Algorithm::Grouping, &cfg)
                     .unwrap()
-            )
-        );
+                    .is_empty()
+            })
+            .unwrap();
+        assert_eq!(report.k, first_nonempty);
     }
 
     #[test]
@@ -369,10 +181,13 @@ mod tests {
     #[test]
     fn k_range_reporting() {
         let pf = paper_flights(true);
-        let q = KsjqQuery::builder(&pf.outbound, &pf.inbound)
-            .aggregate(ksjq_join::AggFunc::Sum)
-            .build()
-            .unwrap();
-        assert_eq!(k_range(q.context()), (5, 7));
+        let cx = JoinContext::new(
+            &pf.outbound,
+            &pf.inbound,
+            JoinSpec::Equality,
+            &[ksjq_join::AggFunc::Sum],
+        )
+        .unwrap();
+        assert_eq!(k_range(&cx), (5, 7));
     }
 }

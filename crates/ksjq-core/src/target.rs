@@ -32,7 +32,7 @@
 //! sets from the same columnar sweep, keeping each member's counts.
 
 use crate::classify::Category;
-use ksjq_relation::{dom_counts_partial_block_columnar_into, Relation};
+use ksjq_relation::{dom_counts_partial_block_columnar_into, Relation, TupleId};
 
 /// Number of positions (restricted to `locals`) where `x ≤ x_prime`,
 /// with early abandonment once `m` is unreachable.
@@ -127,9 +127,10 @@ pub(crate) fn local_counts<'s>(
     x_prime: u32,
     scratch: &'s mut TargetScratch,
 ) -> (&'s [u32], &'s [u32]) {
-    let prow = rel.row_at(x_prime as usize);
     scratch.probe.clear();
-    scratch.probe.extend(locals.iter().map(|&attr| prow[attr]));
+    scratch
+        .probe
+        .extend(locals.iter().map(|&attr| rel.value(TupleId(x_prime), attr)));
     scratch.sweep(rel, locals)
 }
 
@@ -156,24 +157,24 @@ pub fn target_set_for_values(
     at_least(scratch.sweep(rel, locals).0, k_pp)
 }
 
-/// The scalar row-major reference for [`target_set`]: one early-abandoning
-/// pass per tuple over the interleaved rows. Kept as the oracle the
-/// property suite (and the kernel ablation benches) compare the columnar
-/// path against; membership and order are identical.
+/// The scalar row-major reference for [`target_set`]: the relation's
+/// rows are gathered into scratch, then one early-abandoning pass per
+/// tuple runs over the interleaved rows. Kept as the oracle the property
+/// suite (and the kernel ablation benches) compare the columnar path
+/// against; membership and order are identical.
 pub fn target_set_rowmajor(
     rel: &Relation,
     locals: &[usize],
     x_prime: u32,
     k_pp: usize,
 ) -> Vec<u32> {
-    let prow = rel.row_at(x_prime as usize);
-    let mut out = Vec::new();
-    for t in 0..rel.n() as u32 {
-        if local_le_at_least(rel.row_at(t as usize), prow, locals, k_pp) {
-            out.push(t);
-        }
-    }
-    out
+    let rows = rel.gather_rows();
+    let d = rel.d();
+    let row = |t: usize| &rows[t * d..(t + 1) * d];
+    let prow = row(x_prime as usize);
+    (0..rel.n() as u32)
+        .filter(|&t| local_le_at_least(row(t as usize), prow, locals, k_pp))
+        .collect()
 }
 
 /// Build the dominator/target set of every non-`NN` tuple — the
@@ -234,11 +235,18 @@ pub fn precompute_target_sets(
     sets
 }
 
-/// The attribute sums of every tuple — the SFS presort score. NaN-free
-/// relations yield NaN-free scores; ordering uses [`f64::total_cmp`]
-/// regardless, so hostile inputs cannot panic the sort.
+/// The attribute sums of every tuple — the SFS presort score — added up
+/// one column at a time, in attribute order. NaN-free relations yield
+/// NaN-free scores; ordering uses [`f64::total_cmp`] regardless, so
+/// hostile inputs cannot panic the sort.
 pub fn attr_sums(rel: &Relation) -> Vec<f64> {
-    rel.rows().map(|(_, row)| row.iter().sum()).collect()
+    let mut sums = vec![0.0; rel.n()];
+    for a in 0..rel.d() {
+        for (s, &v) in sums.iter_mut().zip(rel.column(a)) {
+            *s += v;
+        }
+    }
+    sums
 }
 
 /// Order `ids` so likely dominators come first: ascending score, ties
@@ -444,16 +452,7 @@ mod tests {
             for k_pp in 1..=4 {
                 let fast = target_set(&r, &locals, probe, k_pp);
                 // Slow-path oracle.
-                let slow: Vec<u32> = (0..r.n() as u32)
-                    .filter(|&t| {
-                        local_le_at_least(
-                            r.row_at(t as usize),
-                            r.row_at(probe as usize),
-                            &locals,
-                            k_pp,
-                        )
-                    })
-                    .collect();
+                let slow = target_set_rowmajor(&r, &locals, probe, k_pp);
                 assert_eq!(fast, slow, "probe {probe} k_pp {k_pp}");
             }
         }
@@ -476,10 +475,7 @@ mod tests {
         let locals: Vec<usize> = r.schema().local_indices().collect();
         let mut scratch = TargetScratch::default();
         for probe in [0u32, 23, 59] {
-            let prow: Vec<f64> = locals
-                .iter()
-                .map(|&a| r.row_at(probe as usize)[a])
-                .collect();
+            let prow: Vec<f64> = locals.iter().map(|&a| r.value(TupleId(probe), a)).collect();
             for k_pp in 0..=3 {
                 assert_eq!(
                     target_set_for_values(&r, &locals, &prow, k_pp, &mut scratch),
@@ -495,11 +491,10 @@ mod tests {
             let got = target_set_for_values(&r, &locals, &foreign, k_pp, &mut scratch);
             let want: Vec<u32> = (0..r.n() as u32)
                 .filter(|&t| {
-                    let row = r.row_at(t as usize);
                     let le = locals
                         .iter()
                         .enumerate()
-                        .filter(|&(i, &a)| row[a] <= foreign[i])
+                        .filter(|&(i, &a)| r.value(TupleId(t), a) <= foreign[i])
                         .count();
                     le >= k_pp
                 })

@@ -463,7 +463,8 @@ pub fn verify_candidates(
     Ok(counters)
 }
 
-/// The scalar row-major oracle of the row-probe verifiers: for each
+/// The scalar row-major oracle of the row-probe verifiers. It gathers both
+/// relations' rows into scratch once, at construction; for each
 /// target leg the left-half [`DomCounts`] are computed once, then merged
 /// with each partner's right-half counts (memoised per call) and the `a`
 /// aggregate positions via [`DomCounts::merge`] — bit-identical to
@@ -477,6 +478,9 @@ pub struct JoinedCheck<'b, 'a> {
     l1: usize,
     l2: usize,
     a: usize,
+    /// Both relations' rows, gathered row-major at construction.
+    lrows: Vec<f64>,
+    rrows: Vec<f64>,
     /// Scratch for the `a` aggregate values of one pair (never a full row).
     aggs: Vec<f64>,
     /// Reusable membership mask over right tuple ids (two-sided checks).
@@ -501,6 +505,8 @@ impl<'b, 'a> JoinedCheck<'b, 'a> {
             l1: cx.l1(),
             l2: cx.l2(),
             a: cx.a(),
+            lrows: cx.left().gather_rows(),
+            rrows: cx.right().gather_rows(),
             aggs: vec![0.0; cx.a()],
             rmask: vec![false; cx.right().n()],
             lmemo: vec![zero; cx.left().n()],
@@ -518,6 +524,20 @@ impl<'b, 'a> JoinedCheck<'b, 'a> {
         self.counters
     }
 
+    /// Gathered row `u` of the left relation.
+    #[inline]
+    fn left_row(&self, u: usize) -> &[f64] {
+        let d = self.cx.left().d();
+        &self.lrows[u * d..(u + 1) * d]
+    }
+
+    /// Gathered row `v` of the right relation.
+    #[inline]
+    fn right_row(&self, v: usize) -> &[f64] {
+        let d = self.cx.right().d();
+        &self.rrows[v * d..(v + 1) * d]
+    }
+
     /// Split `cand` into its `(left locals, right locals, aggregates)`
     /// segments.
     #[inline]
@@ -533,11 +553,7 @@ impl<'b, 'a> JoinedCheck<'b, 'a> {
     #[inline]
     fn left_half(&mut self, u: u32, cl: &[f64]) -> Option<DomCounts> {
         self.counters.attr_cmps += self.l1 as u64;
-        let lc = dom_counts_partial(
-            self.cx.left().row_at(u as usize),
-            self.cx.left_local_attrs(),
-            cl,
-        );
+        let lc = dom_counts_partial(self.left_row(u as usize), self.cx.left_local_attrs(), cl);
         if lc.le as usize + self.l2 + self.a < self.k {
             self.counters.targets_pruned += 1;
             return None;
@@ -549,11 +565,7 @@ impl<'b, 'a> JoinedCheck<'b, 'a> {
     #[inline]
     fn right_half(&mut self, v: u32, cr: &[f64]) -> Option<DomCounts> {
         self.counters.attr_cmps += self.l2 as u64;
-        let rc = dom_counts_partial(
-            self.cx.right().row_at(v as usize),
-            self.cx.right_local_attrs(),
-            cr,
-        );
+        let rc = dom_counts_partial(self.right_row(v as usize), self.cx.right_local_attrs(), cr);
         if rc.le as usize + self.l1 + self.a < self.k {
             self.counters.targets_pruned += 1;
             return None;
@@ -569,8 +581,7 @@ impl<'b, 'a> JoinedCheck<'b, 'a> {
         let i = v as usize;
         if self.rstamp[i] != self.generation {
             self.counters.attr_cmps += self.l2 as u64;
-            self.rmemo[i] =
-                dom_counts_partial(self.cx.right().row_at(i), self.cx.right_local_attrs(), cr);
+            self.rmemo[i] = dom_counts_partial(self.right_row(i), self.cx.right_local_attrs(), cr);
             self.rstamp[i] = self.generation;
         }
         self.rmemo[i]
@@ -582,8 +593,7 @@ impl<'b, 'a> JoinedCheck<'b, 'a> {
         let i = u as usize;
         if self.lstamp[i] != self.generation {
             self.counters.attr_cmps += self.l1 as u64;
-            self.lmemo[i] =
-                dom_counts_partial(self.cx.left().row_at(i), self.cx.left_local_attrs(), cl);
+            self.lmemo[i] = dom_counts_partial(self.left_row(i), self.cx.left_local_attrs(), cl);
             self.lstamp[i] = self.generation;
         }
         self.lmemo[i]
@@ -714,6 +724,21 @@ fn permute_right_locals(cx: &JoinContext<'_>) -> Vec<f64> {
     out
 }
 
+/// The left relation's local attributes gathered row-major: tuple `u`'s
+/// `l1` values at `[u·l1..(u+1)·l1]`, in joined-layout order.
+fn gather_left_locals(cx: &JoinContext<'_>) -> Vec<f64> {
+    let rel = cx.left();
+    let locals = cx.left_local_attrs();
+    let l1 = locals.len();
+    let mut out = vec![0.0; rel.n() * l1];
+    for (i, &attr) in locals.iter().enumerate() {
+        for (u, &v) in rel.column(attr).iter().enumerate() {
+            out[u * l1 + i] = v;
+        }
+    }
+    out
+}
+
 /// Scan one contiguous partner span for a partner that, joined with the
 /// target leg `u` (left-half counts `lc`), k-dominates the candidate: a
 /// blocked threshold prescan over the partner-half `≤` counts finds the
@@ -805,6 +830,9 @@ pub struct ColumnarCheck<'b, 'a> {
     cx: &'b JoinContext<'a>,
     k: usize,
     equality: bool,
+    /// Left local attributes gathered row-major (`l1` per tuple), so a
+    /// target leg's counts read one contiguous slice.
+    lrows: Vec<f64>,
     /// Right local columns permuted into scan order.
     rperm: Vec<f64>,
     /// Right tuple id → scan position (two-sided masks).
@@ -835,6 +863,7 @@ impl<'b, 'a> ColumnarCheck<'b, 'a> {
         ColumnarCheck {
             k,
             equality: matches!(cx.spec(), ksjq_join::JoinSpec::Equality),
+            lrows: gather_left_locals(cx),
             rperm: permute_right_locals(cx),
             rpos,
             aggs: vec![0.0; cx.a()],
@@ -890,7 +919,7 @@ impl<'b, 'a> ColumnarCheck<'b, 'a> {
         let (cr, ca) = rest.split_at(l2);
         for &u in targets {
             self.counters.attr_cmps += l1 as u64;
-            let lc = dom_counts_partial(cx.left().row_at(u as usize), cx.left_local_attrs(), cl);
+            let lc = dom_counts(&self.lrows[u as usize * l1..(u as usize + 1) * l1], cl);
             if lc.le as usize + l2 + cx.a() < self.k {
                 self.counters.targets_pruned += 1;
                 continue;

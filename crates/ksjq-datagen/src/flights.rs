@@ -180,8 +180,7 @@ mod tests {
         // means cheap flights have few amenities.
         let n = net.outbound.n() as f64;
         let (mut sx, mut sy, mut sxx, mut syy, mut sxy) = (0.0, 0.0, 0.0, 0.0, 0.0);
-        for (_, row) in net.outbound.rows() {
-            let (x, y) = (row[0], row[4]);
+        for (&x, &y) in net.outbound.column(0).iter().zip(net.outbound.column(4)) {
             sx += x;
             sy += y;
             sxx += x * x;
@@ -207,7 +206,7 @@ mod tests {
     fn attributes_positive() {
         let net = FlightNetworkSpec::default().generate();
         for rel in [&net.outbound, &net.inbound] {
-            for (t, _) in rel.rows() {
+            for t in rel.ids() {
                 let raw = rel.raw_row(t);
                 assert!(
                     raw.iter().all(|&v| v > 0.0),

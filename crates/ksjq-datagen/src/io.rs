@@ -130,7 +130,7 @@ fn export_csv(
         cell
     }));
     let mut rows = Vec::with_capacity(rel.n());
-    for (t, _) in rel.rows() {
+    for t in rel.ids() {
         let gid = rel
             .group_id(t)
             .ok_or_else(|| Error::Invalid("relation has no group keys".into()))?;
@@ -237,7 +237,7 @@ mod tests {
         let handle = catalog.register_csv("out", &csv).unwrap();
         assert_eq!(handle.schema(), net.outbound.schema());
         assert_eq!(handle.n(), net.outbound.n());
-        for (t, _) in net.outbound.rows() {
+        for t in net.outbound.ids() {
             assert_eq!(handle.relation().raw_row(t), net.outbound.raw_row(t));
         }
     }

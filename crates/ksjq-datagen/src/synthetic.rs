@@ -227,10 +227,8 @@ mod tests {
             DataType::AntiCorrelated,
         ] {
             let r = spec(t).generate();
-            for (_, row) in r.rows() {
-                for &v in row {
-                    assert!((0.0..1.0).contains(&v), "{t}: {v} out of range");
-                }
+            for &v in r.columns() {
+                assert!((0.0..1.0).contains(&v), "{t}: {v} out of range");
             }
         }
     }
@@ -239,8 +237,7 @@ mod tests {
     fn corr2(r: &Relation) -> f64 {
         let n = r.n() as f64;
         let (mut sx, mut sy, mut sxx, mut syy, mut sxy) = (0.0, 0.0, 0.0, 0.0, 0.0);
-        for (_, row) in r.rows() {
-            let (x, y) = (row[0], row[1]);
+        for (&x, &y) in r.column(0).iter().zip(r.column(1)) {
             sx += x;
             sy += y;
             sxx += x * x;

@@ -17,7 +17,7 @@
 use crate::aggregate::AggFunc;
 use crate::error::{JoinError, JoinResult};
 use crate::spec::{JoinSpec, ThetaOp};
-use ksjq_relation::{JoinKeys, Relation};
+use ksjq_relation::{JoinKeys, Relation, TupleId};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -275,16 +275,11 @@ impl<'a> JoinContext<'a> {
     pub fn compatible(&self, u: u32, v: u32) -> bool {
         match self.spec {
             JoinSpec::Equality => {
-                self.left().group_id(ksjq_relation::TupleId(u))
-                    == self.right().group_id(ksjq_relation::TupleId(v))
+                self.left().group_id(TupleId(u)) == self.right().group_id(TupleId(v))
             }
             JoinSpec::Theta(op) => op.holds(
-                self.left()
-                    .numeric_key(ksjq_relation::TupleId(u))
-                    .expect("validated"),
-                self.right()
-                    .numeric_key(ksjq_relation::TupleId(v))
-                    .expect("validated"),
+                self.left().numeric_key(TupleId(u)).expect("validated"),
+                self.right().numeric_key(TupleId(v)).expect("validated"),
             ),
             JoinSpec::Cartesian => true,
         }
@@ -299,12 +294,17 @@ impl<'a> JoinContext<'a> {
         self.fill_rest(u, v, out);
     }
 
-    /// The normalised aggregate value of slot `slot` for the pair of base
-    /// rows `(lrow, rrow)`. Kept as the single aggregation expression so
-    /// every fill / split-side path produces bit-identical values.
+    /// The normalised aggregate value of slot `slot` for the base tuples
+    /// `(u, v)`, read from their columns. Kept as the single aggregation
+    /// expression so every fill / split-side path produces bit-identical
+    /// values.
     #[inline]
-    fn agg_value(&self, slot: &SlotInfo, lrow: &[f64], rrow: &[f64]) -> f64 {
-        Self::combine(slot, lrow[slot.left_attr], rrow[slot.right_attr])
+    fn agg_value(&self, slot: &SlotInfo, u: u32, v: u32) -> f64 {
+        Self::combine(
+            slot,
+            self.left().value(TupleId(u), slot.left_attr),
+            self.right().value(TupleId(v), slot.right_attr),
+        )
     }
 
     #[inline]
@@ -333,9 +333,9 @@ impl<'a> JoinContext<'a> {
     /// `v` the tuple joins with.
     #[inline]
     pub fn fill_left(&self, u: u32, out: &mut [f64]) {
-        let lrow = self.left().row_at(u as usize);
+        let left = self.left();
         for (o, &attr) in out.iter_mut().zip(self.left_locals.iter()) {
-            *o = lrow[attr];
+            *o = left.value(TupleId(u), attr);
         }
     }
 
@@ -345,15 +345,14 @@ impl<'a> JoinContext<'a> {
     /// [`fill`](Self::fill) exactly.
     #[inline]
     pub fn fill_rest(&self, u: u32, v: u32, out: &mut [f64]) {
-        let lrow = self.left().row_at(u as usize);
-        let rrow = self.right().row_at(v as usize);
+        let right = self.right();
         let l1 = self.l1();
         let l2 = self.l2();
         for (j, &attr) in self.right_locals.iter().enumerate() {
-            out[l1 + j] = rrow[attr];
+            out[l1 + j] = right.value(TupleId(v), attr);
         }
         for (s, slot) in self.slots.iter().enumerate() {
-            out[l1 + l2 + s] = self.agg_value(slot, lrow, rrow);
+            out[l1 + l2 + s] = self.agg_value(slot, u, v);
         }
     }
 
@@ -364,10 +363,8 @@ impl<'a> JoinContext<'a> {
     #[inline]
     pub fn fill_aggs(&self, u: u32, v: u32, out: &mut [f64]) {
         debug_assert!(out.len() >= self.a());
-        let lrow = self.left().row_at(u as usize);
-        let rrow = self.right().row_at(v as usize);
         for (s, slot) in self.slots.iter().enumerate() {
-            out[s] = self.agg_value(slot, lrow, rrow);
+            out[s] = self.agg_value(slot, u, v);
         }
     }
 
@@ -419,17 +416,11 @@ impl<'a> JoinContext<'a> {
     pub fn right_partners(&self, u: u32) -> &[u32] {
         match self.spec {
             JoinSpec::Equality => {
-                let gid = self
-                    .left()
-                    .group_id(ksjq_relation::TupleId(u))
-                    .expect("validated");
+                let gid = self.left().group_id(TupleId(u)).expect("validated");
                 self.right().group_index().expect("validated").members(gid)
             }
             JoinSpec::Theta(op) => {
-                let key = self
-                    .left()
-                    .numeric_key(ksjq_relation::TupleId(u))
-                    .expect("validated");
+                let key = self.left().numeric_key(TupleId(u)).expect("validated");
                 let order = self.right().numeric_order().expect("validated");
                 let ks = &self.right_sorted_keys;
                 match op {
@@ -468,17 +459,11 @@ impl<'a> JoinContext<'a> {
     pub fn right_partner_span(&self, u: u32) -> Range<usize> {
         match self.spec {
             JoinSpec::Equality => {
-                let gid = self
-                    .left()
-                    .group_id(ksjq_relation::TupleId(u))
-                    .expect("validated");
+                let gid = self.left().group_id(TupleId(u)).expect("validated");
                 self.right().group_index().expect("validated").range_of(gid)
             }
             JoinSpec::Theta(op) => {
-                let key = self
-                    .left()
-                    .numeric_key(ksjq_relation::TupleId(u))
-                    .expect("validated");
+                let key = self.left().numeric_key(TupleId(u)).expect("validated");
                 let ks = &self.right_sorted_keys;
                 match op {
                     ThetaOp::Lt => ks.partition_point(|&k| k <= key)..ks.len(),
@@ -506,17 +491,11 @@ impl<'a> JoinContext<'a> {
     pub fn left_partner_span(&self, v: u32) -> Range<usize> {
         match self.spec {
             JoinSpec::Equality => {
-                let gid = self
-                    .right()
-                    .group_id(ksjq_relation::TupleId(v))
-                    .expect("validated");
+                let gid = self.right().group_id(TupleId(v)).expect("validated");
                 self.left().group_index().expect("validated").range_of(gid)
             }
             JoinSpec::Theta(op) => {
-                let key = self
-                    .right()
-                    .numeric_key(ksjq_relation::TupleId(v))
-                    .expect("validated");
+                let key = self.right().numeric_key(TupleId(v)).expect("validated");
                 let ks = &self.left_sorted_keys;
                 match op {
                     ThetaOp::Lt => 0..ks.partition_point(|&k| k < key),
@@ -533,17 +512,11 @@ impl<'a> JoinContext<'a> {
     pub fn left_partners(&self, v: u32) -> &[u32] {
         match self.spec {
             JoinSpec::Equality => {
-                let gid = self
-                    .right()
-                    .group_id(ksjq_relation::TupleId(v))
-                    .expect("validated");
+                let gid = self.right().group_id(TupleId(v)).expect("validated");
                 self.left().group_index().expect("validated").members(gid)
             }
             JoinSpec::Theta(op) => {
-                let key = self
-                    .right()
-                    .numeric_key(ksjq_relation::TupleId(v))
-                    .expect("validated");
+                let key = self.right().numeric_key(TupleId(v)).expect("validated");
                 let order = self.left().numeric_order().expect("validated");
                 let ks = &self.left_sorted_keys;
                 match op {
@@ -567,17 +540,11 @@ impl<'a> JoinContext<'a> {
     pub fn left_coverers(&self, u: u32) -> &[u32] {
         match self.spec {
             JoinSpec::Equality => {
-                let gid = self
-                    .left()
-                    .group_id(ksjq_relation::TupleId(u))
-                    .expect("validated");
+                let gid = self.left().group_id(TupleId(u)).expect("validated");
                 self.left().group_index().expect("validated").members(gid)
             }
             JoinSpec::Theta(op) => {
-                let key = self
-                    .left()
-                    .numeric_key(ksjq_relation::TupleId(u))
-                    .expect("validated");
+                let key = self.left().numeric_key(TupleId(u)).expect("validated");
                 let order = self.left().numeric_order().expect("validated");
                 let ks = &self.left_sorted_keys;
                 match op {
@@ -597,17 +564,11 @@ impl<'a> JoinContext<'a> {
     pub fn right_coverers(&self, v: u32) -> &[u32] {
         match self.spec {
             JoinSpec::Equality => {
-                let gid = self
-                    .right()
-                    .group_id(ksjq_relation::TupleId(v))
-                    .expect("validated");
+                let gid = self.right().group_id(TupleId(v)).expect("validated");
                 self.right().group_index().expect("validated").members(gid)
             }
             JoinSpec::Theta(op) => {
-                let key = self
-                    .right()
-                    .numeric_key(ksjq_relation::TupleId(v))
-                    .expect("validated");
+                let key = self.right().numeric_key(TupleId(v)).expect("validated");
                 let order = self.right().numeric_order().expect("validated");
                 let ks = &self.right_sorted_keys;
                 match op {
@@ -943,10 +904,10 @@ mod tests {
         // joined layout.
         let joined = cx.joined_row(1, 1);
         for (i, &attr) in cx.left_local_attrs().iter().enumerate() {
-            assert_eq!(joined[i], l.row_at(1)[attr]);
+            assert_eq!(joined[i], l.column(attr)[1]);
         }
         for (j, &attr) in cx.right_local_attrs().iter().enumerate() {
-            assert_eq!(joined[cx.l1() + j], r.row_at(1)[attr]);
+            assert_eq!(joined[cx.l1() + j], r.column(attr)[1]);
         }
     }
 

@@ -29,13 +29,6 @@ pub enum Error {
     /// The relation mixes join-key kinds (e.g. some tuples have group keys
     /// and others numeric keys).
     InconsistentJoinKeys,
-    /// A tuple id was out of bounds for the relation.
-    TupleOutOfBounds {
-        /// The requested tuple index.
-        id: u32,
-        /// Number of tuples in the relation.
-        n: usize,
-    },
     /// A catalog registration reused an already-registered relation name.
     DuplicateRelation(String),
     /// A catalog registration used an empty (or all-whitespace) name.
@@ -65,9 +58,6 @@ impl fmt::Display for Error {
             Error::InvalidAggSlot(msg) => write!(f, "invalid aggregate slot: {msg}"),
             Error::InconsistentJoinKeys => {
                 write!(f, "tuples mix join-key kinds within one relation")
-            }
-            Error::TupleOutOfBounds { id, n } => {
-                write!(f, "tuple id {id} out of bounds for relation of {n} tuples")
             }
             Error::DuplicateRelation(name) => {
                 write!(f, "relation name {name:?} is already registered")

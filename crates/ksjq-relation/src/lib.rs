@@ -7,9 +7,12 @@
 //!   (Pareto) dominance and *k*-dominance between tuples.
 //! * [`Schema`] / [`AttrDef`] — attribute metadata, including which
 //!   attributes participate in aggregation when two relations are joined.
-//! * [`Relation`] — row-major `f64` tuple storage with an optional join-key
-//!   column (dictionary-encoded group ids for equality joins, or a numeric
-//!   key for theta joins) and a group index.
+//! * [`Relation`] — normalised `f64` attribute values stored once,
+//!   attribute-major, with an optional join-key column (dictionary-encoded
+//!   group ids for equality joins, or a numeric key for theta joins) and a
+//!   group index.
+//! * [`VersionedRelation`] — epoch-stamped versions of a mutable relation;
+//!   each `APPEND`/`DELETE` derives the next snapshot from the current one.
 //! * [`StringDictionary`] — string → group-id encoding so callers can use
 //!   human-readable join keys (city names, category labels, …).
 //! * [`Catalog`] / [`RelationHandle`] — a thread-safe named registry
@@ -44,4 +47,4 @@ pub use preference::Preference;
 pub use registry::{Catalog, RelationHandle};
 pub use relation::{GroupIndex, JoinKeys, Relation, RelationBuilder, TupleId};
 pub use schema::{AttrDef, AttrRole, Schema, SchemaBuilder};
-pub use versioned::{VersionedRelation, BLOCK_ROWS};
+pub use versioned::VersionedRelation;

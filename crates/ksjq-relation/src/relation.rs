@@ -1,4 +1,4 @@
-//! Row-major tuple storage with join keys and a group index.
+//! Attribute-major tuple storage with join keys and a group index.
 
 use crate::error::{Error, Result};
 use crate::schema::Schema;
@@ -125,25 +125,24 @@ impl GroupIndex {
 /// A base relation: a [`Schema`], `n` tuples of `d` normalised attribute
 /// values, and an optional join-key column.
 ///
-/// Attribute values are stored row-major in a flat `Vec<f64>` and are
-/// normalised to lower-is-better orientation at build time (a `Max`
-/// attribute is negated). All dominance code operates on the normalised
-/// values; use [`Relation::raw_value`] / [`Relation::raw_row`] to recover the
+/// Attribute values are normalised to lower-is-better orientation at
+/// build time (a `Max` attribute is negated) and stored **once**, in one
+/// attribute-major (struct-of-arrays) `Vec<f64>`: attribute `a`'s `n`
+/// values occupy `columns()[a·n..(a+1)·n]`. Every production kernel
+/// sweeps those columns stride-1
+/// ([`crate::dominance::dom_counts_partial_block_columnar_into`] and
+/// friends); point reads go through [`column`](Self::column) and
+/// [`value`](Self::value). There is no row-major copy: the row-at-a-time
+/// algorithms gather the rows they need into scratch
+/// ([`gather_rows`](Self::gather_rows)) and drop it when they return. Use
+/// [`Relation::raw_value`] / [`Relation::raw_row`] to recover the
 /// user-facing numbers.
-///
-/// Alongside the row-major storage the relation keeps a **columnar**
-/// (struct-of-arrays) copy, built once at [`RelationBuilder::build`]: each
-/// attribute's `n` values are contiguous, so candidate-versus-relation
-/// dominance counting ([`crate::dominance::dom_counts_block_columnar`])
-/// sweeps each attribute stride-1 instead of striding across interleaved
-/// rows. The duplication costs one extra `n · d` `f64` buffer per relation
-/// — the price of the blocked kernels running at memory bandwidth.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Relation {
     schema: Schema,
-    data: Vec<f64>,
-    /// Attribute-major copy of `data`: attribute `a`'s column occupies
-    /// `columns[a * n .. (a + 1) * n]`.
+    n: usize,
+    /// The normalised values, attribute-major: attribute `a`'s column
+    /// occupies `columns[a * n .. (a + 1) * n]`.
     columns: Vec<f64>,
     keys: JoinKeys,
     group_index: Option<GroupIndex>,
@@ -155,7 +154,8 @@ impl Relation {
     pub fn builder(schema: Schema) -> RelationBuilder {
         RelationBuilder {
             schema,
-            data: Vec::new(),
+            columns: Vec::new(),
+            cap: 0,
             keys: JoinKeys::None,
             n: 0,
         }
@@ -173,11 +173,102 @@ impl Relation {
                 rows.len()
             )));
         }
-        let mut b = Relation::builder(schema);
+        let mut b = Relation::builder(schema).with_capacity(rows.len());
         for (k, row) in keys.iter().zip(rows) {
             b.add_grouped(*k, row)?;
         }
         b.build()
+    }
+
+    /// Freeze `n` tuples of attribute-major `columns` and their keys,
+    /// building the group / order indexes. The one constructor behind
+    /// [`RelationBuilder::build`] and the versioned derivations. An empty
+    /// relation has no key column, whatever it was built from.
+    fn assemble(schema: Schema, n: usize, columns: Vec<f64>, keys: JoinKeys) -> Relation {
+        debug_assert_eq!(columns.len(), n * schema.d());
+        debug_assert!(keys.len() == 0 || keys.len() == n);
+        let keys = if n == 0 { JoinKeys::None } else { keys };
+        let group_index = match &keys {
+            JoinKeys::Group(v) => Some(GroupIndex::build(v)),
+            _ => None,
+        };
+        let numeric_order = match &keys {
+            JoinKeys::Numeric(v) => {
+                let mut order: Vec<u32> = (0..v.len() as u32).collect();
+                order.sort_by(|&a, &b| {
+                    v[a as usize]
+                        .partial_cmp(&v[b as usize])
+                        .expect("join keys validated finite")
+                        .then(a.cmp(&b))
+                });
+                Some(order)
+            }
+            _ => None,
+        };
+        Relation {
+            schema,
+            n,
+            columns,
+            keys,
+            group_index,
+            numeric_order,
+        }
+    }
+
+    /// This relation with `rows` (raw values, one group key each)
+    /// appended after its tuples: the new columns are the old columns
+    /// plus the normalised delta, so the result equals a fresh load of
+    /// the old raw rows followed by `rows`. The relation must be empty or
+    /// group-keyed.
+    pub(crate) fn appended(&self, keys: &[u64], rows: &[Vec<f64>]) -> Result<Relation> {
+        let d = self.d();
+        for (i, row) in rows.iter().enumerate() {
+            check_row(&self.schema, row, self.n + i)?;
+        }
+        let n = self.n + rows.len();
+        let mut columns = Vec::with_capacity(n * d);
+        for a in 0..d {
+            let pref = self.schema.attr(a).preference;
+            columns.extend_from_slice(self.column(a));
+            columns.extend(rows.iter().map(|row| pref.normalize(row[a])));
+        }
+        let mut all_keys = Vec::with_capacity(n);
+        if let JoinKeys::Group(old) = &self.keys {
+            all_keys.extend_from_slice(old);
+        }
+        all_keys.extend_from_slice(keys);
+        let keys = JoinKeys::Group(all_keys);
+        Ok(Relation::assemble(self.schema.clone(), n, columns, keys))
+    }
+
+    /// This relation without the tuples whose group key is `key`
+    /// (survivors keep their relative order), and how many were dropped.
+    /// `None` when no tuple carries the key.
+    pub(crate) fn without_key(&self, key: u64) -> Option<(Relation, usize)> {
+        let JoinKeys::Group(old) = &self.keys else {
+            return None;
+        };
+        let keep: Vec<bool> = old.iter().map(|&k| k != key).collect();
+        let removed = keep.iter().filter(|&&k| !k).count();
+        if removed == 0 {
+            return None;
+        }
+        let n = self.n - removed;
+        let mut columns = Vec::with_capacity(n * self.d());
+        for a in 0..self.d() {
+            columns.extend(
+                self.column(a)
+                    .iter()
+                    .zip(&keep)
+                    .filter(|&(_, &k)| k)
+                    .map(|(&v, _)| v),
+            );
+        }
+        let keys = JoinKeys::Group(old.iter().copied().filter(|&k| k != key).collect());
+        Some((
+            Relation::assemble(self.schema.clone(), n, columns, keys),
+            removed,
+        ))
     }
 
     /// The relation's schema.
@@ -189,11 +280,7 @@ impl Relation {
     /// Number of tuples.
     #[inline]
     pub fn n(&self) -> usize {
-        if self.schema.d() == 0 {
-            0
-        } else {
-            self.data.len() / self.schema.d()
-        }
+        self.n
     }
 
     /// Number of skyline attributes (`d_i`).
@@ -205,32 +292,7 @@ impl Relation {
     /// Is the relation empty?
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// The normalised attribute slice of tuple `t`.
-    #[inline]
-    pub fn row(&self, t: TupleId) -> &[f64] {
-        let d = self.schema.d();
-        let i = t.idx() * d;
-        &self.data[i..i + d]
-    }
-
-    /// The normalised attribute slice of row index `i`.
-    #[inline]
-    pub fn row_at(&self, i: usize) -> &[f64] {
-        let d = self.schema.d();
-        &self.data[i * d..(i + 1) * d]
-    }
-
-    /// The full normalised attribute storage, row-major (`n · d` values).
-    ///
-    /// Exposed for blocked kernels ([`crate::dominance::dom_counts_block`])
-    /// that want to sweep a candidate against every row without per-row
-    /// slice bookkeeping.
-    #[inline]
-    pub fn values(&self) -> &[f64] {
-        &self.data
+        self.n == 0
     }
 
     /// The full normalised attribute storage, attribute-major (`n · d`
@@ -238,8 +300,7 @@ impl Relation {
     ///
     /// This is the layout the columnar kernels
     /// ([`crate::dominance::dom_counts_block_columnar`] and friends) sweep
-    /// stride-1; it is built once at [`RelationBuilder::build`] and always
-    /// holds exactly the same values as [`values`](Self::values).
+    /// stride-1.
     #[inline]
     pub fn columns(&self) -> &[f64] {
         &self.columns
@@ -249,17 +310,27 @@ impl Relation {
     /// one per tuple in id order).
     #[inline]
     pub fn column(&self, attr: usize) -> &[f64] {
-        let n = self.n();
-        &self.columns[attr * n..(attr + 1) * n]
+        &self.columns[attr * self.n..(attr + 1) * self.n]
     }
 
-    /// Iterate all `(TupleId, row)` pairs.
-    pub fn rows(&self) -> impl Iterator<Item = (TupleId, &[f64])> + '_ {
-        let d = self.schema.d();
-        self.data
-            .chunks_exact(d)
-            .enumerate()
-            .map(|(i, r)| (TupleId(i as u32), r))
+    /// The normalised value of attribute `attr` of tuple `t`.
+    #[inline]
+    pub fn value(&self, t: TupleId, attr: usize) -> f64 {
+        self.columns[attr * self.n + t.idx()]
+    }
+
+    /// Every tuple's normalised row, gathered into a fresh row-major
+    /// buffer (`n · d` values, tuple `t` at `[t·d..(t+1)·d]`) — scratch for
+    /// the row-at-a-time algorithms, which free it when they return.
+    pub fn gather_rows(&self) -> Vec<f64> {
+        let d = self.d();
+        let mut rows = vec![0.0; self.n * d];
+        for a in 0..d {
+            for (t, &v) in self.column(a).iter().enumerate() {
+                rows[t * d + a] = v;
+            }
+        }
+        rows
     }
 
     /// The raw (denormalised) value of attribute `attr` of tuple `t`.
@@ -267,16 +338,13 @@ impl Relation {
         self.schema
             .attr(attr)
             .preference
-            .denormalize(self.row(t)[attr])
+            .denormalize(self.value(t, attr))
     }
 
-    /// The full raw row of tuple `t` (allocates).
+    /// The full raw row of tuple `t`, gathered from the columns
+    /// (allocates).
     pub fn raw_row(&self, t: TupleId) -> Vec<f64> {
-        self.row(t)
-            .iter()
-            .enumerate()
-            .map(|(a, &v)| self.schema.attr(a).preference.denormalize(v))
-            .collect()
+        (0..self.d()).map(|a| self.raw_value(t, a)).collect()
     }
 
     /// The join-key column.
@@ -316,23 +384,39 @@ impl Relation {
         self.numeric_order.as_deref()
     }
 
-    /// Checked access to a tuple id.
-    pub fn get(&self, t: TupleId) -> Result<&[f64]> {
-        if t.idx() >= self.n() {
-            return Err(Error::TupleOutOfBounds {
-                id: t.0,
-                n: self.n(),
-            });
-        }
-        Ok(self.row(t))
+    /// Every tuple id, ascending.
+    pub fn ids(&self) -> impl Iterator<Item = TupleId> {
+        (0..self.n as u32).map(TupleId)
     }
 }
 
-/// Incremental [`Relation`] construction.
+/// Reject a raw row of the wrong arity or with a non-finite value; `row`
+/// is its index for the error message.
+fn check_row(schema: &Schema, values: &[f64], row: usize) -> Result<()> {
+    if values.len() != schema.d() {
+        return Err(Error::ArityMismatch {
+            expected: schema.d(),
+            got: values.len(),
+        });
+    }
+    match values.iter().position(|v| !v.is_finite()) {
+        Some(attr) => Err(Error::NonFiniteValue { attr, row }),
+        None => Ok(()),
+    }
+}
+
+/// Incremental [`Relation`] construction. Each added row's normalised
+/// values go straight into the relation's attribute-major buffer; when
+/// the row count was reserved up front
+/// ([`with_capacity`](Self::with_capacity)), [`build`](Self::build) hands
+/// that buffer over without copying it.
 #[derive(Debug)]
 pub struct RelationBuilder {
     schema: Schema,
-    data: Vec<f64>,
+    /// Attribute-major values with a column stride of `cap`: attribute
+    /// `a` of row `i` lives at `columns[a * cap + i]`.
+    columns: Vec<f64>,
+    cap: usize,
     keys: JoinKeys,
     n: usize,
 }
@@ -340,7 +424,7 @@ pub struct RelationBuilder {
 impl RelationBuilder {
     /// Reserve space for `n` tuples up front.
     pub fn with_capacity(mut self, n: usize) -> Self {
-        self.data.reserve(n * self.schema.d());
+        self.restride(n);
         match &mut self.keys {
             JoinKeys::Group(v) => v.reserve(n),
             JoinKeys::Numeric(v) => v.reserve(n),
@@ -349,22 +433,27 @@ impl RelationBuilder {
         self
     }
 
+    /// Grow the column stride to `cap` rows, moving the rows so far.
+    fn restride(&mut self, cap: usize) {
+        if cap <= self.cap {
+            return;
+        }
+        let mut columns = vec![0.0; cap * self.schema.d()];
+        for (a, col) in columns.chunks_exact_mut(cap).enumerate() {
+            let old = a * self.cap;
+            col[..self.n].copy_from_slice(&self.columns[old..old + self.n]);
+        }
+        self.columns = columns;
+        self.cap = cap;
+    }
+
     fn push_row(&mut self, row: &[f64]) -> Result<()> {
-        let d = self.schema.d();
-        if row.len() != d {
-            return Err(Error::ArityMismatch {
-                expected: d,
-                got: row.len(),
-            });
+        check_row(&self.schema, row, self.n)?;
+        if self.n == self.cap {
+            self.restride((2 * self.cap).max(16));
         }
         for (a, &v) in row.iter().enumerate() {
-            if !v.is_finite() {
-                return Err(Error::NonFiniteValue {
-                    attr: a,
-                    row: self.n,
-                });
-            }
-            self.data.push(self.schema.attr(a).preference.normalize(v));
+            self.columns[a * self.cap + self.n] = self.schema.attr(a).preference.normalize(v);
         }
         self.n += 1;
         Ok(())
@@ -414,43 +503,18 @@ impl RelationBuilder {
     }
 
     /// Validate and freeze the relation, building group / order indexes.
-    pub fn build(self) -> Result<Relation> {
-        debug_assert!(self.keys.len() == 0 || self.keys.len() == self.n);
-        let group_index = match &self.keys {
-            JoinKeys::Group(v) => Some(GroupIndex::build(v)),
-            _ => None,
-        };
-        let numeric_order = match &self.keys {
-            JoinKeys::Numeric(v) => {
-                let mut order: Vec<u32> = (0..v.len() as u32).collect();
-                order.sort_by(|&a, &b| {
-                    v[a as usize]
-                        .partial_cmp(&v[b as usize])
-                        .expect("join keys validated finite")
-                        .then(a.cmp(&b))
-                });
-                Some(order)
+    pub fn build(mut self) -> Result<Relation> {
+        let (n, d) = (self.n, self.schema.d());
+        if self.cap != n {
+            // Close the gaps between the columns, in place.
+            for a in 1..d {
+                let from = a * self.cap;
+                self.columns.copy_within(from..from + n, a * n);
             }
-            _ => None,
-        };
-        let d = self.schema.d();
-        let n = self.data.len().checked_div(d).unwrap_or(0);
-        // Transpose once into the attribute-major (struct-of-arrays) copy;
-        // every blocked kernel reads this, never the rows.
-        let mut columns = vec![0.0; self.data.len()];
-        for (i, row) in self.data.chunks_exact(d.max(1)).enumerate() {
-            for (a, &v) in row.iter().enumerate() {
-                columns[a * n + i] = v;
-            }
+            self.columns.truncate(n * d);
+            self.columns.shrink_to_fit();
         }
-        Ok(Relation {
-            schema: self.schema,
-            data: self.data,
-            columns,
-            keys: self.keys,
-            group_index,
-            numeric_order,
-        })
+        Ok(Relation::assemble(self.schema, n, self.columns, self.keys))
     }
 }
 
@@ -458,6 +522,15 @@ impl RelationBuilder {
 mod tests {
     use super::*;
     use crate::preference::Preference;
+
+    fn schema3() -> Schema {
+        Schema::builder()
+            .local("a", Preference::Min)
+            .local("b", Preference::Max)
+            .local("c", Preference::Min)
+            .build()
+            .unwrap()
+    }
 
     fn schema2() -> Schema {
         Schema::builder()
@@ -476,7 +549,8 @@ mod tests {
         assert_eq!(r.n(), 2);
         assert_eq!(r.d(), 2);
         // rating is Max, so it is negated internally…
-        assert_eq!(r.row(TupleId(0)), &[10.0, -4.0]);
+        assert_eq!(r.value(TupleId(0), 0), 10.0);
+        assert_eq!(r.value(TupleId(0), 1), -4.0);
         // …but raw access recovers the original.
         assert_eq!(r.raw_value(TupleId(0), 1), 4.0);
         assert_eq!(r.raw_row(TupleId(1)), vec![20.0, 5.0]);
@@ -554,15 +628,15 @@ mod tests {
     }
 
     #[test]
-    fn values_exposes_row_major_storage() {
+    fn gather_rows_is_row_major() {
         let r = Relation::from_grouped_rows(
             Schema::uniform(2).unwrap(),
             &[1, 2],
             &[vec![1.0, 2.0], vec![3.0, 4.0]],
         )
         .unwrap();
-        assert_eq!(r.values(), &[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(&r.values()[2..4], r.row_at(1));
+        assert_eq!(r.gather_rows(), vec![1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(r.columns(), &[1.0, 3.0, 2.0, 4.0]);
     }
 
     #[test]
@@ -580,10 +654,11 @@ mod tests {
         assert_eq!(r.column(0), &[1.0, 4.0, 7.0]);
         assert_eq!(r.column(1), &[2.0, 5.0, 8.0]);
         assert_eq!(r.column(2), &[3.0, 6.0, 9.0]);
-        assert_eq!(r.columns().len(), r.values().len());
-        for t in 0..r.n() {
+        assert_eq!(r.columns().len(), r.n() * r.d());
+        let rows = r.gather_rows();
+        for t in r.ids() {
             for a in 0..r.d() {
-                assert_eq!(r.column(a)[t], r.row_at(t)[a], "tuple {t} attr {a}");
+                assert_eq!(r.value(t, a), rows[t.idx() * r.d() + a], "{t} attr {a}");
             }
         }
     }
@@ -631,15 +706,36 @@ mod tests {
     }
 
     #[test]
-    fn get_bounds_check() {
-        let mut b = Relation::builder(Schema::uniform(1).unwrap());
-        b.add(&[0.0]).unwrap();
+    fn builder_capacity_never_changes_the_relation() {
+        let rows: Vec<Vec<f64>> = (0..40)
+            .map(|i| vec![i as f64, (i * 7 % 11) as f64, -(i as f64)])
+            .collect();
+        let keys: Vec<u64> = (0..40).map(|i| i % 3).collect();
+        let build = |reserve: usize| {
+            let mut b = Relation::builder(schema3()).with_capacity(reserve);
+            for (k, row) in keys.iter().zip(&rows) {
+                b.add_grouped(*k, row).unwrap();
+            }
+            b.build().unwrap()
+        };
+        let exact = build(40);
+        for reserve in [0, 1, 17, 39, 41, 100] {
+            let r = build(reserve);
+            assert_eq!(r, exact, "reserve {reserve}");
+            assert_eq!(r.columns().len(), 40 * 3);
+        }
+        assert_eq!(exact.raw_row(TupleId(5)), rows[5]);
+        assert_eq!(exact.column(1)[6], -(6.0 * 7.0 % 11.0));
+    }
+
+    #[test]
+    fn rejected_row_leaves_the_builder_unchanged() {
+        let mut b = Relation::builder(Schema::uniform(2).unwrap());
+        b.add(&[0.0, 1.0]).unwrap();
+        assert!(b.add(&[2.0, f64::INFINITY]).is_err());
+        b.add(&[3.0, 4.0]).unwrap();
         let r = b.build().unwrap();
-        assert!(r.get(TupleId(0)).is_ok());
-        assert!(matches!(
-            r.get(TupleId(1)),
-            Err(Error::TupleOutOfBounds { id: 1, n: 1 })
-        ));
+        assert_eq!(r.gather_rows(), vec![0.0, 1.0, 3.0, 4.0]);
     }
 
     #[test]
@@ -649,6 +745,7 @@ mod tests {
             .unwrap();
         assert!(r.is_empty());
         assert_eq!(r.n(), 0);
-        assert_eq!(r.rows().count(), 0);
+        assert_eq!(r.ids().count(), 0);
+        assert!(r.gather_rows().is_empty());
     }
 }

@@ -1,68 +1,42 @@
-//! Versioned relations: epoch-stamped, copy-on-write mutable catalogs.
+//! Versioned relations: epoch-stamped snapshots of a mutable catalog.
 //!
 //! A [`VersionedRelation`] is an immutable *version* of a mutable logical
-//! relation. [`append`](VersionedRelation::append) and
+//! relation: a schema, an epoch and one [`Relation`] snapshot behind an
+//! `Arc`. [`append`](VersionedRelation::append) and
 //! [`delete_key`](VersionedRelation::delete_key) never modify the receiver;
-//! they produce a **new** version with the epoch bumped by one. Row storage
-//! is chunked into fixed-capacity blocks whose payloads live behind `Arc`s,
-//! so a derived version shares every block the delta did not touch
-//! (copy-on-write at the block level — the same idea as MVCC page
-//! versioning, applied to columnar row blocks):
+//! they derive a **new** snapshot straight from the current one's columns
+//! and return it as the next version, epoch bumped by one:
 //!
-//! * `append` rewrites at most the trailing partial block and adds new
-//!   blocks after it;
-//! * `delete_key` rewrites only the blocks that actually contain the key.
+//! * `append` copies each column and extends it with the normalised delta;
+//! * `delete_key` copies each column without the key's tuples, and shares
+//!   the snapshot outright when no tuple carries the key.
 //!
-//! Each version carries a fully materialised [`Relation`] snapshot behind
-//! an `Arc`, built once at version-creation time. Queries prepared against
-//! a snapshot keep executing against *their* epoch no matter how many
-//! versions are derived afterwards — epoch pinning is simply `Arc`
-//! immutability, there is no locking in the read path.
+//! The version holds no storage of its own besides the snapshot, so
+//! [`from_relation`](VersionedRelation::from_relation) is O(1) and a
+//! server can derive each mutation from whatever snapshot its catalog
+//! currently binds. Queries prepared against a snapshot keep executing
+//! against *their* epoch no matter how many versions are derived
+//! afterwards — epoch pinning is simply `Arc` immutability, there is no
+//! locking in the read path.
 //!
-//! Blocks store **raw** (denormalised) attribute values plus the
-//! dictionary-encoded group key of every row; snapshot materialisation
-//! runs them through the ordinary [`RelationBuilder`](crate::RelationBuilder) so normalisation,
-//! group indexing and the columnar mirror are byte-identical to a
-//! from-scratch load of the same rows. `Max`-attribute normalisation is a
-//! negation, which round-trips exactly in IEEE arithmetic, so a row's
-//! normalised values are bit-stable across every version that contains it.
+//! A derived snapshot is `==` to a fresh load of the same raw rows:
+//! surviving tuples keep their normalised values bit for bit, the delta is
+//! normalised exactly as [`RelationBuilder`](crate::RelationBuilder) would,
+//! and the group index is rebuilt from the derived keys.
 
 use crate::error::{Error, Result};
-use crate::relation::{JoinKeys, Relation, TupleId};
+use crate::relation::{JoinKeys, Relation};
 use crate::schema::Schema;
 use std::sync::Arc;
-
-/// Rows per copy-on-write block. Appends rewrite at most this many
-/// trailing rows; deletes rewrite only blocks containing the key.
-pub const BLOCK_ROWS: usize = 1024;
-
-/// One immutable storage block: `keys.len()` rows of `d` raw values each.
-#[derive(Debug, Clone)]
-struct Block {
-    keys: Arc<Vec<u64>>,
-    /// Raw row-major values, `keys.len() * d` of them.
-    rows: Arc<Vec<f64>>,
-}
-
-impl Block {
-    fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    fn shares_storage(&self, other: &Block) -> bool {
-        Arc::ptr_eq(&self.rows, &other.rows)
-    }
-}
 
 /// An epoch-stamped immutable version of a mutable logical relation.
 ///
 /// See the [module docs](self) for the versioning model. Cloning is cheap
-/// (`Arc` clones of the blocks and the snapshot).
+/// (an `Arc` clone of the snapshot).
 #[derive(Debug, Clone)]
 pub struct VersionedRelation {
     schema: Schema,
     epoch: u64,
-    blocks: Vec<Block>,
     snapshot: Arc<Relation>,
 }
 
@@ -73,13 +47,12 @@ impl VersionedRelation {
         Ok(VersionedRelation {
             schema,
             epoch: 0,
-            blocks: Vec::new(),
             snapshot,
         })
     }
 
     /// Version 0 seeded from an existing relation, which becomes the
-    /// snapshot as-is (no rebuild). The relation must use equality-join
+    /// snapshot as-is (no copy). The relation must use equality-join
     /// group keys — the only key kind with well-defined append/delete
     /// row semantics here.
     pub fn from_relation(rel: Arc<Relation>) -> Result<VersionedRelation> {
@@ -88,28 +61,9 @@ impl VersionedRelation {
                 "versioned relations require equality-join (group) keys".into(),
             ));
         }
-        let d = rel.d();
-        let mut blocks = Vec::with_capacity(rel.n().div_ceil(BLOCK_ROWS.max(1)));
-        let mut start = 0usize;
-        while start < rel.n() {
-            let end = (start + BLOCK_ROWS).min(rel.n());
-            let mut keys = Vec::with_capacity(end - start);
-            let mut rows = Vec::with_capacity((end - start) * d);
-            for t in start..end {
-                let t = TupleId(t as u32);
-                keys.push(rel.group_id(t).expect("group-keyed relation"));
-                rows.extend(rel.raw_row(t));
-            }
-            blocks.push(Block {
-                keys: Arc::new(keys),
-                rows: Arc::new(rows),
-            });
-            start = end;
-        }
         Ok(VersionedRelation {
             schema: rel.schema().clone(),
             epoch: 0,
-            blocks,
             snapshot: rel,
         })
     }
@@ -147,49 +101,7 @@ impl VersionedRelation {
                 rows.len()
             )));
         }
-        let d = self.schema.d();
-        for row in rows {
-            if row.len() != d {
-                return Err(Error::ArityMismatch {
-                    expected: d,
-                    got: row.len(),
-                });
-            }
-        }
-        let mut blocks = self.blocks.clone();
-        let mut pending_keys: Vec<u64>;
-        let mut pending_rows: Vec<f64>;
-        // Reopen the trailing partial block (copy-on-write): its rows are
-        // re-written into a fresh block together with the first appended
-        // rows; every full block stays shared.
-        match blocks.last() {
-            Some(last) if last.len() < BLOCK_ROWS => {
-                let last = blocks.pop().expect("just matched");
-                pending_keys = (*last.keys).clone();
-                pending_rows = (*last.rows).clone();
-            }
-            _ => {
-                pending_keys = Vec::new();
-                pending_rows = Vec::new();
-            }
-        }
-        for (key, row) in keys.iter().zip(rows) {
-            pending_keys.push(*key);
-            pending_rows.extend_from_slice(row);
-            if pending_keys.len() == BLOCK_ROWS {
-                blocks.push(Block {
-                    keys: Arc::new(std::mem::take(&mut pending_keys)),
-                    rows: Arc::new(std::mem::take(&mut pending_rows)),
-                });
-            }
-        }
-        if !pending_keys.is_empty() {
-            blocks.push(Block {
-                keys: Arc::new(pending_keys),
-                rows: Arc::new(pending_rows),
-            });
-        }
-        self.derive(blocks)
+        Ok(self.next(Arc::new(self.snapshot.appended(keys, rows)?)))
     }
 
     /// Derive the next version with every row whose group key equals
@@ -197,77 +109,20 @@ impl VersionedRelation {
     /// the new version and how many rows were dropped; the epoch bumps
     /// even when nothing matched, so a delete is always observable.
     pub fn delete_key(&self, key: u64) -> Result<(VersionedRelation, usize)> {
-        let d = self.schema.d();
-        let mut removed = 0usize;
-        let mut blocks = Vec::with_capacity(self.blocks.len());
-        for block in &self.blocks {
-            let hits = block.keys.iter().filter(|&&k| k == key).count();
-            if hits == 0 {
-                blocks.push(block.clone());
-                continue;
-            }
-            removed += hits;
-            if hits == block.len() {
-                continue; // the whole block vanishes
-            }
-            let mut keys = Vec::with_capacity(block.len() - hits);
-            let mut rows = Vec::with_capacity((block.len() - hits) * d);
-            for (i, &k) in block.keys.iter().enumerate() {
-                if k != key {
-                    keys.push(k);
-                    rows.extend_from_slice(&block.rows[i * d..(i + 1) * d]);
-                }
-            }
-            blocks.push(Block {
-                keys: Arc::new(keys),
-                rows: Arc::new(rows),
-            });
-        }
-        if removed == 0 {
-            // Nothing changed: share the snapshot too.
-            return Ok((
-                VersionedRelation {
-                    schema: self.schema.clone(),
-                    epoch: self.epoch + 1,
-                    blocks,
-                    snapshot: Arc::clone(&self.snapshot),
-                },
-                0,
-            ));
-        }
-        Ok((self.derive(blocks)?, removed))
-    }
-
-    /// Materialise a new version from `blocks` at `self.epoch + 1`.
-    fn derive(&self, blocks: Vec<Block>) -> Result<VersionedRelation> {
-        let n: usize = blocks.iter().map(Block::len).sum();
-        let mut b = Relation::builder(self.schema.clone()).with_capacity(n);
-        let d = self.schema.d();
-        for block in &blocks {
-            for (i, &key) in block.keys.iter().enumerate() {
-                b.add_grouped(key, &block.rows[i * d..(i + 1) * d])?;
-            }
-        }
-        Ok(VersionedRelation {
-            schema: self.schema.clone(),
-            epoch: self.epoch + 1,
-            blocks,
-            snapshot: Arc::new(b.build()?),
+        Ok(match self.snapshot.without_key(key) {
+            Some((rel, removed)) => (self.next(Arc::new(rel)), removed),
+            // Nothing changed: share the snapshot.
+            None => (self.next(Arc::clone(&self.snapshot)), 0),
         })
     }
 
-    /// How many storage blocks this version holds.
-    pub fn block_count(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// How many of this version's blocks share storage with `other` —
-    /// the copy-on-write effectiveness metric the tests pin down.
-    pub fn shared_blocks_with(&self, other: &VersionedRelation) -> usize {
-        self.blocks
-            .iter()
-            .filter(|b| other.blocks.iter().any(|o| b.shares_storage(o)))
-            .count()
+    /// The version after this one, holding `snapshot`.
+    fn next(&self, snapshot: Arc<Relation>) -> VersionedRelation {
+        VersionedRelation {
+            schema: self.schema.clone(),
+            epoch: self.epoch + 1,
+            snapshot,
+        }
     }
 }
 
@@ -275,6 +130,7 @@ impl VersionedRelation {
 mod tests {
     use super::*;
     use crate::preference::Preference;
+    use crate::relation::TupleId;
 
     fn raw(i: usize) -> Vec<f64> {
         vec![i as f64, (i * 7 % 13) as f64, 100.0 - i as f64]
@@ -305,11 +161,13 @@ mod tests {
         assert_eq!(v1.n(), 11);
         // Prefix rows are bit-identical (ids and normalised values).
         for t in 0..10u32 {
-            assert_eq!(
-                v0.snapshot().row_at(t as usize),
-                v1.snapshot().row_at(t as usize),
-                "row {t}"
-            );
+            for a in 0..3 {
+                assert_eq!(
+                    v0.snapshot().value(TupleId(t), a),
+                    v1.snapshot().value(TupleId(t), a),
+                    "row {t}"
+                );
+            }
             assert_eq!(
                 v0.snapshot().group_id(TupleId(t)),
                 v1.snapshot().group_id(TupleId(t))
@@ -324,31 +182,19 @@ mod tests {
     }
 
     #[test]
-    fn append_shares_full_blocks() {
-        let v0 = seed(BLOCK_ROWS + 10); // one full block + one partial
-        assert_eq!(v0.block_count(), 2);
-        let v1 = v0.append(&[1], &[raw(99)]).unwrap();
-        // The full block is shared; only the partial tail was rewritten.
-        assert_eq!(v1.shared_blocks_with(&v0), 1);
-        assert_eq!(v1.block_count(), 2);
-    }
-
-    #[test]
-    fn append_fills_and_starts_blocks() {
-        let v0 = seed(BLOCK_ROWS - 1);
+    fn append_fills_past_a_thousand_rows() {
+        let v0 = seed(1023);
         let delta_keys = vec![3u64; 2];
         let delta_rows: Vec<Vec<f64>> = (0..2).map(|i| raw(5000 + i)).collect();
         let v1 = v0.append(&delta_keys, &delta_rows).unwrap();
-        assert_eq!(v1.n(), BLOCK_ROWS + 1);
-        assert_eq!(v1.block_count(), 2);
-        // No block of v0 survives: the single partial block was reopened.
-        assert_eq!(v1.shared_blocks_with(&v0), 0);
+        assert_eq!(v1.n(), 1025);
+        assert_eq!(v1.epoch(), 1);
+        assert_eq!(v1.snapshot().raw_row(TupleId(1024)), raw(5001));
     }
 
     #[test]
-    fn delete_rewrites_only_touched_blocks() {
-        // Put key 42 only in the second block.
-        let mut keys: Vec<u64> = vec![1; BLOCK_ROWS];
+    fn delete_keeps_survivor_order() {
+        let mut keys: Vec<u64> = vec![1; 1024];
         keys.extend([42, 2, 42]);
         let rows: Vec<Vec<f64>> = (0..keys.len()).map(raw).collect();
         let rel = Arc::new(Relation::from_grouped_rows(schema(), &keys, &rows).unwrap());
@@ -356,16 +202,29 @@ mod tests {
         let (v1, removed) = v0.delete_key(42).unwrap();
         assert_eq!(removed, 2);
         assert_eq!(v1.epoch(), 1);
-        assert_eq!(v1.n(), BLOCK_ROWS + 1);
-        assert_eq!(v1.shared_blocks_with(&v0), 1, "block 0 untouched");
+        assert_eq!(v1.n(), 1025);
         // Survivors keep their relative order.
-        assert_eq!(v1.snapshot().group_id(TupleId(BLOCK_ROWS as u32)), Some(2));
-        // Deleting a missing key bumps the epoch but shares everything.
+        assert_eq!(v1.snapshot().group_id(TupleId(1024)), Some(2));
+        assert_eq!(v1.snapshot().raw_row(TupleId(1024)), raw(1025));
+        let survivors: Vec<u64> = keys.iter().copied().filter(|&k| k != 42).collect();
+        let survivor_rows: Vec<Vec<f64>> = (0..keys.len())
+            .filter(|&i| keys[i] != 42)
+            .map(raw)
+            .collect();
+        let fresh = Relation::from_grouped_rows(schema(), &survivors, &survivor_rows).unwrap();
+        assert_eq!(**v1.snapshot(), fresh);
+        // Deleting a missing key bumps the epoch but shares the snapshot.
         let (v2, zero) = v1.delete_key(999).unwrap();
         assert_eq!(zero, 0);
         assert_eq!(v2.epoch(), 2);
-        assert_eq!(v2.shared_blocks_with(&v1), v1.block_count());
         assert!(Arc::ptr_eq(v2.snapshot(), v1.snapshot()));
+    }
+
+    #[test]
+    fn from_relation_shares_the_relation() {
+        let rel = Arc::new(Relation::from_grouped_rows(schema(), &[1], &[raw(0)]).unwrap());
+        let v0 = VersionedRelation::from_relation(Arc::clone(&rel)).unwrap();
+        assert!(Arc::ptr_eq(v0.snapshot(), &rel));
     }
 
     #[test]
@@ -402,5 +261,9 @@ mod tests {
         let v0 = seed(3);
         assert!(v0.append(&[1], &[vec![1.0]]).is_err(), "arity mismatch");
         assert!(v0.append(&[1, 2], &[raw(0)]).is_err(), "key/row mismatch");
+        assert!(
+            v0.append(&[1], &[vec![1.0, f64::NAN, 2.0]]).is_err(),
+            "non-finite value"
+        );
     }
 }

@@ -426,6 +426,7 @@ impl KsjqClient {
         Ok(RowStream {
             client: self,
             done: false,
+            seen: None,
         })
     }
 
@@ -650,6 +651,61 @@ impl KsjqClient {
 pub struct RowStream<'a> {
     client: &'a mut KsjqClient,
     done: bool,
+    /// What the chunks so far promised and delivered.
+    seen: Option<Progress>,
+}
+
+/// The header of a stream's first chunk, and how far the stream got.
+#[derive(Debug, Clone, Copy)]
+struct Progress {
+    parts: u32,
+    total: usize,
+    part: u32,
+    received: usize,
+}
+
+impl Progress {
+    /// Check `chunk` against the chunks before it: parts arrive in
+    /// order, every chunk repeats the first one's `parts` and `n=`, the
+    /// pairs never exceed `n=`, a non-final part leaves pairs to come (the
+    /// server never sends an empty non-final part), and the final part
+    /// brings the count to exactly `n=`. A corrupted header thus ends the
+    /// stream at once instead of leaving the reader waiting for parts that
+    /// never come.
+    fn advance(seen: Option<Progress>, chunk: &RowChunk) -> Result<Progress, String> {
+        let (part, received) = match seen {
+            None => (1, chunk.pairs.len()),
+            Some(p) if chunk.parts != p.parts || chunk.total != p.total => {
+                return Err(format!(
+                    "ROWS part {} says parts={} n={}, the stream began with parts={} n={}",
+                    chunk.part, chunk.parts, chunk.total, p.parts, p.total
+                ))
+            }
+            Some(p) => (p.part + 1, p.received + chunk.pairs.len()),
+        };
+        if chunk.part != part {
+            return Err(format!(
+                "ROWS part {} where part {part} was due",
+                chunk.part
+            ));
+        }
+        let last = chunk.part == chunk.parts;
+        if received > chunk.total
+            || (last && received != chunk.total)
+            || (!last && received == chunk.total)
+        {
+            return Err(format!(
+                "ROWS part {}/{} brings the pair count to {received} of n={}",
+                chunk.part, chunk.parts, chunk.total
+            ));
+        }
+        Ok(Progress {
+            parts: chunk.parts,
+            total: chunk.total,
+            part,
+            received,
+        })
+    }
 }
 
 impl RowStream<'_> {
@@ -686,10 +742,19 @@ impl Iterator for RowStream<'_> {
             }
         };
         Some(match response {
-            Response::Chunk(chunk) => {
-                self.done = chunk.is_last();
-                Ok(chunk)
-            }
+            Response::Chunk(chunk) => match Progress::advance(self.seen, &chunk) {
+                Ok(progress) => {
+                    self.seen = Some(progress);
+                    self.done = chunk.is_last();
+                    Ok(chunk)
+                }
+                Err(message) => {
+                    // The stream's framing is lost: stop here, and let
+                    // `Drop` leave the rest of it unread.
+                    self.done = true;
+                    Err(ClientError::Protocol(message))
+                }
+            },
             // A v1 server (or session) answers with one whole-result
             // frame: surface it as a single synthetic chunk so the
             // streaming API works against either version.
@@ -728,5 +793,116 @@ impl Drop for RowStream<'_> {
                 _ => break, // end of stream, or a terminal error
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Write;
+    use std::net::TcpListener;
+    use std::sync::mpsc;
+
+    /// A one-shot fake server: answers `HELLO`, then answers the next
+    /// request with `frame` and holds the socket open until `release`
+    /// fires, like a server whose reaper has not come round yet.
+    fn fake_server(frame: &'static str) -> (std::net::SocketAddr, mpsc::Sender<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (release, hold) = mpsc::channel::<()>();
+        std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut writer = stream;
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            writer.write_all(b"HELLO v=2\n").unwrap();
+            line.clear();
+            reader.read_line(&mut line).unwrap();
+            writer.write_all(frame.as_bytes()).unwrap();
+            let _ = hold.recv();
+        });
+        (addr, release)
+    }
+
+    /// Run one streamed query against `frame` on a client with no read
+    /// timeout; the stream's first item, or `None` if the client was
+    /// still blocked after 10 s.
+    fn first_item(frame: &'static str) -> Option<ClientResult<RowChunk>> {
+        let (addr, release) = fake_server(frame);
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let mut client = KsjqClient::connect(addr).unwrap();
+            let mut stream = client.query_stream(&PlanSpec::new("a", "b")).unwrap();
+            let first = stream.next().expect("the stream yields an item");
+            drop(stream); // must not wait for the missing parts
+            let _ = tx.send(first);
+        });
+        let got = rx.recv_timeout(Duration::from_secs(10)).ok();
+        let _ = release.send(());
+        got
+    }
+
+    #[test]
+    fn rows_header_claiming_more_parts_than_its_pairs_fill_fails_at_once() {
+        // All 4 pairs of n=4 arrive in part 1, yet the header says 3
+        // parts (one flipped bit turns `1/1` into `1/3`): without the
+        // check the client waits for parts 2 and 3 forever.
+        let got = first_item("ROWS k=7 us=1 cached=0 n=4 part=1/3 0:0 1:1 2:2 3:3\n")
+            .expect("the client must not block on parts that never come");
+        assert!(matches!(got, Err(ClientError::Protocol(_))), "{got:?}");
+    }
+
+    #[test]
+    fn rows_chunks_must_stay_within_their_header() {
+        for frame in [
+            // More pairs than n=.
+            "ROWS k=7 us=1 cached=0 n=2 part=1/2 0:0 1:1 2:2\n",
+            // The stream must start at part 1.
+            "ROWS k=7 us=1 cached=0 n=4 part=2/2 0:0 1:1\n",
+            // The final part must complete n=.
+            "ROWS k=7 us=1 cached=0 n=4 part=1/1 0:0 1:1\n",
+        ] {
+            let got = first_item(frame).expect("no blocking");
+            assert!(
+                matches!(got, Err(ClientError::Protocol(_))),
+                "{frame}: {got:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn progress_accepts_a_well_formed_stream() {
+        let chunk = |part, pairs: usize| RowChunk {
+            k: 7,
+            micros: 0,
+            cached: false,
+            total: 5,
+            part,
+            parts: 3,
+            cursor: None,
+            pairs: vec![(0, 0); pairs],
+        };
+        let p = Progress::advance(None, &chunk(1, 2)).unwrap();
+        let p = Progress::advance(Some(p), &chunk(2, 2)).unwrap();
+        assert!(Progress::advance(Some(p), &chunk(3, 2)).is_err(), "6 > n=5");
+        assert!(
+            Progress::advance(Some(p), &chunk(2, 1)).is_err(),
+            "part repeated"
+        );
+        let mut other = chunk(3, 1);
+        other.total = 6;
+        assert!(Progress::advance(Some(p), &other).is_err(), "n= changed");
+        let p = Progress::advance(Some(p), &chunk(3, 1)).unwrap();
+        assert_eq!(p.received, 5);
+        let empty = RowChunk {
+            total: 0,
+            parts: 1,
+            ..chunk(1, 0)
+        };
+        assert!(
+            Progress::advance(None, &empty).is_ok(),
+            "an empty result is one empty part"
+        );
     }
 }

@@ -158,7 +158,7 @@ mod tests {
         // Same rows in the same order: raw values match tuple by tuple.
         let oracle = paper_flights(false);
         let synced = catalog.get("outbound").unwrap();
-        for (t, _) in oracle.outbound.rows() {
+        for t in oracle.outbound.ids() {
             assert_eq!(synced.relation().raw_row(t), oracle.outbound.raw_row(t));
         }
 

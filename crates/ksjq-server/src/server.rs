@@ -193,11 +193,6 @@ struct Shared {
     /// Deltas parsed by `APPEND … STAGE` and awaiting `COMMIT`/`ABORT`,
     /// keyed by the relation they extend.
     staged_deltas: Mutex<HashMap<String, StagedDelta>>,
-    /// Per-relation versioned chains behind the live bindings, so
-    /// consecutive `APPEND`s share unchanged column blocks (COW).
-    /// Entries are lazily (re)built whenever the chain's snapshot is no
-    /// longer the bound relation (a `LOAD`/`COMMIT` replaced it).
-    live: Mutex<HashMap<String, VersionedRelation>>,
     /// The write-ahead log behind `--data-dir`; `None` when the catalog
     /// is memory-only. Appended to *inside* the mutation handlers while
     /// they hold `catalog_cells`, so log order is apply order.
@@ -294,15 +289,10 @@ impl ServerHandle {
 
     /// Tell the server its catalog changed *out of band* — a replica
     /// resync writes relations straight through the shared [`Engine`],
-    /// bypassing the wire handlers that normally keep the epoch, the
-    /// result cache and the versioned chains in step. Call it after any
-    /// such direct catalog surgery.
+    /// bypassing the wire handlers that normally keep the epoch and the
+    /// result cache in step. Call it after any such direct catalog
+    /// surgery.
     pub fn catalog_updated(&self) {
-        self.shared
-            .live
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clear();
         self.shared.catalog_epoch.fetch_add(1, Ordering::SeqCst);
         self.shared.cache.clear();
     }
@@ -367,7 +357,6 @@ impl Server {
             catalog_cells: Mutex::new(preloaded),
             staged: Mutex::new(HashMap::new()),
             staged_deltas: Mutex::new(HashMap::new()),
-            live: Mutex::new(HashMap::new()),
             wal: Mutex::new(None),
             recovering: AtomicBool::new(false),
             config,
@@ -1491,10 +1480,7 @@ fn load(shared: &Shared, name: &str, source: LoadSource, wire: Option<&str>) -> 
     }
     *cells = after;
     // Catalog changed under this name: only results whose plans
-    // reference it can be stale, so only those are evicted. The
-    // versioned chain (if any) is derived from the old binding and
-    // rebuilds lazily on the next APPEND.
-    drop_live(shared, name);
+    // reference it can be stale, so only those are evicted.
     shared.catalog_epoch.fetch_add(1, Ordering::SeqCst);
     shared.cache.invalidate_relation(name);
     if let Err(e) = log_mutation(shared, wire) {
@@ -1522,7 +1508,7 @@ fn reencode_keys(
     // handful of groups.
     let mut encoded: HashMap<u64, u64> = HashMap::new();
     let mut b = ksjq_relation::Relation::builder(rel.schema().clone()).with_capacity(rel.n());
-    for (t, _) in rel.rows() {
+    for t in rel.ids() {
         let gid = rel
             .group_id(t)
             .ok_or("synthetic relations always carry group keys")?;
@@ -1716,7 +1702,7 @@ fn sync(shared: &Shared, name: Option<&str>) -> Response {
 fn stage(shared: &Shared, name: &str, csv: &str, wire: Option<&str>) -> Response {
     // The cells lock serialises every catalog mutation (even ones that
     // touch no cells) so WAL record order is apply order. Lock order
-    // everywhere: catalog_cells → staged/staged_deltas/live → wal.
+    // everywhere: catalog_cells → staged/staged_deltas → wal.
     let _cells = shared
         .catalog_cells
         .lock()
@@ -1793,7 +1779,6 @@ fn commit(shared: &Shared, name: &str, wire: Option<&str>) -> Response {
         return Response::err(ErrorCode::Internal, e.to_string());
     }
     *cells = after;
-    drop_live(shared, name);
     shared.catalog_epoch.fetch_add(1, Ordering::SeqCst);
     shared.cache.invalidate_relation(name);
     if let Err(e) = log_mutation(shared, wire) {
@@ -1833,16 +1818,6 @@ fn abort(shared: &Shared, name: &str, wire: Option<&str>) -> Response {
     } else {
         Response::Ok(format!("aborted {name} (nothing was staged)"))
     }
-}
-
-/// Forget the versioned chain behind `name` (the binding was replaced
-/// wholesale); the next `APPEND` rebuilds it from the new relation.
-fn drop_live(shared: &Shared, name: &str) {
-    shared
-        .live
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .remove(name);
 }
 
 /// Parse header-less `APPEND` rows against an existing relation: first
@@ -1935,8 +1910,8 @@ fn append(shared: &Shared, name: &str, csv: &str, staged: bool, wire: Option<&st
     apply_append(shared, name, delta, &mut cells, wire)
 }
 
-/// Apply a parsed delta: derive the next version (sharing unchanged
-/// column blocks with the current one), rebind the name, bump the epoch,
+/// Apply a parsed delta: derive the next version from the bound snapshot,
+/// rebind the name, bump the epoch,
 /// then walk the result cache *upgrading* entries through the incremental
 /// maintainer instead of evicting them.
 fn apply_append(
@@ -1978,33 +1953,16 @@ fn apply_append(
             ),
         );
     }
-    // Reuse the live versioned chain while it still derives the bound
-    // snapshot; rebuild it after a LOAD/COMMIT replaced the relation.
-    let mut live = shared.live.lock().unwrap_or_else(|e| e.into_inner());
-    if live
-        .get(name)
-        .is_none_or(|v| !Arc::ptr_eq(v.snapshot(), &old))
-    {
-        match VersionedRelation::from_relation(old.clone()) {
-            Ok(v) => {
-                live.insert(name.to_string(), v);
-            }
-            Err(e) => {
-                return Response::err(ErrorCode::Internal, format!("cannot version {name:?}: {e}"))
-            }
+    let version = match VersionedRelation::from_relation(old) {
+        Ok(v) => v,
+        Err(e) => {
+            return Response::err(ErrorCode::Internal, format!("cannot version {name:?}: {e}"))
         }
-    }
-    let next = match live
-        .get(name)
-        .expect("chain ensured above")
-        .append(&delta.keys, &delta.rows)
-    {
-        Ok(next) => next,
+    };
+    let snapshot = match version.append(&delta.keys, &delta.rows) {
+        Ok(next) => next.snapshot().clone(),
         Err(e) => return Response::err(ErrorCode::Invalid, e.to_string()),
     };
-    let snapshot = next.snapshot().clone();
-    live.insert(name.to_string(), next);
-    drop(live);
     // Snapshot the upgrade candidates BEFORE publishing the new binding:
     // anything cached now was computed at the old epoch (the maintainer's
     // precondition). An entry some concurrent EXECUTE inserts after this
@@ -2013,9 +1971,7 @@ fn apply_append(
     // it must not be maintained, and it is not in this snapshot.
     let candidates = shared.cache.entries_for_relation(name);
     if let Err(e) = catalog.replace(name, snapshot.clone()) {
-        // Unreachable with wire-validated names. The old binding stays
-        // live; only the versioned chain ran ahead of it.
-        drop_live(shared, name);
+        // Unreachable with wire-validated names; the old binding stays.
         return Response::err(ErrorCode::Internal, e.to_string());
     }
     *cells = after;
@@ -2110,7 +2066,7 @@ fn maintain_entry(
 }
 
 /// `DELETE <name> KEYS <k1,k2,…>`: drop every row carrying one of the
-/// listed join keys, rewriting only the column blocks that contain them.
+/// listed join keys, deriving the next version from the bound snapshot.
 /// Deletions shift surviving tuple ids, so cached (positional) results
 /// cannot be maintained — entries referencing the relation are evicted
 /// and recompute on next use.
@@ -2125,39 +2081,24 @@ fn delete(shared: &Shared, name: &str, keys: &[String], wire: Option<&str>) -> R
     };
     let old = handle.relation().clone();
     let d = old.schema().d();
-    let mut live = shared.live.lock().unwrap_or_else(|e| e.into_inner());
-    if live
-        .get(name)
-        .is_none_or(|v| !Arc::ptr_eq(v.snapshot(), &old))
-    {
-        match VersionedRelation::from_relation(old.clone()) {
-            Ok(v) => {
-                live.insert(name.to_string(), v);
-            }
-            Err(e) => {
-                return Response::err(ErrorCode::Internal, format!("cannot version {name:?}: {e}"))
-            }
+    let mut version = match VersionedRelation::from_relation(old) {
+        Ok(v) => v,
+        Err(e) => {
+            return Response::err(ErrorCode::Internal, format!("cannot version {name:?}: {e}"))
         }
-    }
+    };
     let mut removed_total = 0usize;
     for key in keys {
-        let gid = catalog.encode_key(key);
-        let (next, removed) = match live.get(name).expect("chain ensured above").delete_key(gid) {
+        let (next, removed) = match version.delete_key(catalog.encode_key(key)) {
             Ok(result) => result,
             Err(e) => return Response::err(ErrorCode::Invalid, e.to_string()),
         };
         removed_total += removed;
-        live.insert(name.to_string(), next);
+        version = next;
     }
-    let snapshot = live
-        .get(name)
-        .expect("chain ensured above")
-        .snapshot()
-        .clone();
-    drop(live);
+    let snapshot = version.snapshot().clone();
     if let Err(e) = catalog.replace(name, snapshot.clone()) {
         // Unreachable with wire-validated names; see `apply_append`.
-        drop_live(shared, name);
         return Response::err(ErrorCode::Internal, e.to_string());
     }
     *cells = cells.saturating_sub(removed_total.saturating_mul(d));
@@ -2399,7 +2340,6 @@ mod tests {
             catalog_cells: Mutex::new(0),
             staged: Mutex::new(HashMap::new()),
             staged_deltas: Mutex::new(HashMap::new()),
-            live: Mutex::new(HashMap::new()),
             wal: Mutex::new(None),
             recovering: AtomicBool::new(false),
             config: ServerConfig::default(),

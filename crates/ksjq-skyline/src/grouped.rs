@@ -5,14 +5,15 @@
 //! group*. This module provides that primitive; the SS/SN/NN classification
 //! built on top of it lives in `ksjq-core`.
 
-use crate::{k_dominant_skyline, KdomAlgo};
+use crate::{k_dominant_skyline, KdomAlgo, MatrixView};
 use ksjq_relation::Relation;
 
 /// For every equality-join group of `rel` (ascending group-id order),
 /// compute the k-dominant skyline of the group's members.
 ///
 /// Returns `(group_id, surviving tuple ids)` pairs. Tuples in a group
-/// compete only against tuples of the same group.
+/// compete only against tuples of the same group. The relation's rows are
+/// gathered once into scratch for the row-at-a-time scans.
 ///
 /// # Panics
 ///
@@ -23,8 +24,10 @@ pub fn per_group_k_dominant(rel: &Relation, k: usize, algo: KdomAlgo) -> Vec<(u6
     let gi = rel
         .group_index()
         .expect("per_group_k_dominant requires equality-join group keys");
+    let rows = rel.gather_rows();
+    let view = MatrixView::new(rel.d(), &rows);
     gi.iter()
-        .map(|(gid, members)| (gid, k_dominant_skyline(rel, members, k, algo)))
+        .map(|(gid, members)| (gid, k_dominant_skyline(&view, members, k, algo)))
         .collect()
 }
 

@@ -15,15 +15,15 @@
 //! * [`grouped`] — per-join-group k-dominant skylines, the building block of
 //!   the paper's SS/SN/NN classification.
 //!
-//! All algorithms work over any [`RowAccess`] implementor; `ksjq-relation`'s
-//! [`ksjq_relation::Relation`] implements it directly.
+//! All algorithms work over any [`RowAccess`] implementor. A
+//! [`ksjq_relation::Relation`] stores its values attribute-major, so
+//! callers gather its rows into a [`MatrixView`] first
+//! ([`ksjq_relation::Relation::gather_rows`]).
 
 pub mod bnl;
 pub mod grouped;
 pub mod kdominant;
 pub mod sfs;
-
-use ksjq_relation::Relation;
 
 /// Read access to a set of fixed-arity rows addressed by `u32` ids.
 ///
@@ -35,20 +35,8 @@ pub trait RowAccess {
     fn row(&self, id: u32) -> &[f64];
 }
 
-impl RowAccess for Relation {
-    #[inline]
-    fn d(&self) -> usize {
-        Relation::d(self)
-    }
-
-    #[inline]
-    fn row(&self, id: u32) -> &[f64] {
-        self.row_at(id as usize)
-    }
-}
-
-/// A flat row-major matrix view, for algorithm inputs that are not backed
-/// by a [`Relation`] (scratch data, materialised joins, test fixtures).
+/// A flat row-major matrix view: gathered relation rows, materialised
+/// joins, test fixtures.
 #[derive(Debug, Clone, Copy)]
 pub struct MatrixView<'a> {
     d: usize,
@@ -187,16 +175,6 @@ mod tests {
     fn matrix_view_bad_len() {
         let data = [1.0, 2.0, 3.0];
         MatrixView::new(2, &data);
-    }
-
-    #[test]
-    fn relation_implements_row_access() {
-        use ksjq_relation::{Relation, Schema};
-        let mut b = Relation::builder(Schema::uniform(2).unwrap());
-        b.add(&[1.0, 2.0]).unwrap();
-        let r = b.build().unwrap();
-        assert_eq!(RowAccess::d(&r), 2);
-        assert_eq!(RowAccess::row(&r, 0), &[1.0, 2.0]);
     }
 
     #[test]

@@ -41,27 +41,25 @@ fn main() -> CoreResult<()> {
             .map_err(ksjq::join::JoinError::from)?;
     }
     let leg2 = leg2.build().map_err(ksjq::join::JoinError::from)?;
+    let engine = Engine::new();
+    let leg1 = engine.register("leg1", leg1)?;
+    let leg2 = engine.register("leg2", leg2)?;
+    let (leg1, leg2) = (leg1.relation(), leg2.relation());
 
     // arrival < departure; 4 joined attributes. At k = 3 two connections
     // can 3-dominate *each other* and annihilate (a real k-dominance
     // phenomenon, paper Sec. 2.2) — on this continuous data that empties
     // the answer, so we query the full skyline join k = 4 and report the
     // k = 3 count alongside.
-    let query = KsjqQuery::builder(&leg1, &leg2)
-        .join(JoinSpec::Theta(ThetaOp::Lt))
-        .k(4)
-        .build()?;
+    let plan = QueryPlan::new("leg1", "leg2").join(JoinSpec::Theta(ThetaOp::Lt));
+    let query = engine.prepare(&plan.clone().k(4))?;
     println!(
         "{} x {} legs, {} valid connections (arrival < departure)",
         80,
         80,
         query.context().count_pairs()
     );
-    let at_k3 = KsjqQuery::builder(&leg1, &leg2)
-        .join(JoinSpec::Theta(ThetaOp::Lt))
-        .k(3)
-        .build()?
-        .execute()?;
+    let at_k3 = engine.execute(&plan.k(3))?;
     println!(
         "k = 3 annihilates everything by mutual domination: {} survivors",
         at_k3.len()

@@ -49,6 +49,14 @@ fn main() -> CoreResult<()> {
 
     // ----- Table 3: the joined relation at k = 7 ------------------------
     let out = ksjq_grouping(&cx, 7, &Config::default())?;
+    let flight_numbers = |pairs: &[(TupleId, TupleId)]| -> Vec<(u32, u32)> {
+        pairs
+            .iter()
+            .map(|&(u, v)| (TABLE1_FNO[u.idx()], TABLE2_FNO[v.idx()]))
+            .collect()
+    };
+    let paper_skyline = [(11, 23), (13, 21), (15, 25), (16, 26)];
+    assert_eq!(flight_numbers(&out.pairs), paper_skyline, "Table 3");
     println!(
         "\nTable 3: joined relation (k = 7), {} combinations",
         cx.count_pairs()
@@ -82,6 +90,7 @@ fn main() -> CoreResult<()> {
         &[AggFunc::Sum],
     )?;
     let outa = ksjq_grouping(&cxa, 6, &Config::default())?;
+    assert_eq!(flight_numbers(&outa.pairs), paper_skyline, "Table 6");
     println!("\nTable 6: aggregated cost (k = 6, a = 1), skyline combinations:");
     for &(u, v) in &outa.pairs {
         let row = cxa.joined_row(u.0, v.0);

@@ -57,14 +57,19 @@ fn main() -> CoreResult<()> {
             .map_err(ksjq::join::JoinError::from)?;
     }
     let carriers = carriers.build().map_err(ksjq::join::JoinError::from)?;
+    let engine = Engine::new();
+    let products = engine.register("products", products)?;
+    let carriers = engine.register("carriers", carriers)?;
+    let (products, carriers) = (products.relation(), carriers.relation());
 
     // Joined attributes: rating, warranty, days, insured, total price — 5.
     // Valid k ∈ {4, 5}; k = 4 keeps the shortlist manageable.
-    let query = KsjqQuery::builder(&products, &carriers)
-        .join(JoinSpec::Cartesian)
-        .aggregate(AggFunc::Sum)
-        .k(4)
-        .build()?;
+    let query = engine.prepare(
+        &QueryPlan::new("products", "carriers")
+            .join(JoinSpec::Cartesian)
+            .aggregate(AggFunc::Sum)
+            .k(4),
+    )?;
     println!(
         "{} products x {} carriers = {} combinations, {} joined attributes",
         products.n(),

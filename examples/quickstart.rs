@@ -63,6 +63,11 @@ fn main() -> CoreResult<()> {
     let prepared = engine.prepare(&plan)?;
     println!("{}\n", prepared.explain());
     let result = prepared.execute()?;
+    assert_eq!(
+        result.pairs,
+        [(TupleId(2), TupleId(0)), (TupleId(4), TupleId(2))],
+        "the two 4-dominant laptop/shipping pairs"
+    );
 
     let laptops = engine.relation("laptops")?;
     let shipping = engine.relation("shipping")?;

@@ -48,8 +48,9 @@
 //! # Ok::<(), ksjq::core::CoreError>(())
 //! ```
 //!
-//! The borrowed, single-shot [`core::KsjqQuery`] builder still works for
-//! quick in-scope queries over local relations.
+//! For quick in-scope work over borrowed relations, bind a
+//! [`join::JoinContext`] and call an algorithm such as
+//! [`core::ksjq_grouping`] directly.
 //!
 //! See `examples/` for aggregate queries (total cost over legs), theta
 //! joins (arrival < departure), and automatic `k` selection from a target
@@ -68,7 +69,7 @@ pub mod prelude {
     pub use ksjq_core::{
         find_k_at_least, find_k_at_most, k_range, ksjq_dominator_based, ksjq_grouping,
         ksjq_grouping_progressive, ksjq_naive, Algorithm, Config, CoreError, CoreResult, Engine,
-        Explain, FindKReport, FindKStrategy, Goal, KsjqOutput, KsjqQuery, PreparedQuery, QueryPlan,
+        Explain, FindKReport, FindKStrategy, Goal, KsjqOutput, PreparedQuery, QueryPlan,
         RelationRef,
     };
     pub use ksjq_datagen::{DataType, DatasetSpec, FlightNetworkSpec};

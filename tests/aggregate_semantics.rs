@@ -61,17 +61,13 @@ fn paper_augment_misses_aggregate_dominator() {
     // …yet u = (100, 5) shares no position with u′ = (5, 5)?  It shares
     // the local 5 — but not k′ = 2 positions, which is what the paper's
     // Augment requires:
-    assert_eq!(
-        ksjq::relation::dominance::equal_count(cx.left().row_at(1), cx.left().row_at(0)),
-        1
-    );
+    let rows = cx.left().gather_rows();
+    let d = cx.left().d();
+    let (u_prime, u) = (&rows[..d], &rows[d..2 * d]);
+    assert_eq!(ksjq::relation::dominance::equal_count(u, u_prime), 1);
     // And u does not k′-dominate u′ either (so it is not in the paper's
     // dominator set):
-    assert!(!ksjq::relation::k_dominates(
-        cx.left().row_at(1),
-        cx.left().row_at(0),
-        p.k1_prime
-    ));
+    assert!(!ksjq::relation::k_dominates(u, u_prime, p.k1_prime));
 
     // All three implementations must nevertheless exclude (u′, v′).
     let out = assert_all_algorithms_agree(&cx, k, &Config::default(), "augment-counterexample");

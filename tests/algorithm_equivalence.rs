@@ -145,10 +145,10 @@ fn duplicate_heavy_input() {
     // both, identically across algorithms.
     let base = random_grouped(51, 30, 0, 3, 3, 4);
     let mut b = Relation::builder(Schema::uniform(3).unwrap());
-    for (t, row) in base.rows() {
-        let g = base.group_id(t).unwrap();
-        b.add_grouped(g, row).unwrap();
-        b.add_grouped(g, row).unwrap();
+    for t in base.ids() {
+        let (g, row) = (base.group_id(t).unwrap(), base.raw_row(t));
+        b.add_grouped(g, &row).unwrap();
+        b.add_grouped(g, &row).unwrap();
     }
     let r1 = b.build().unwrap();
     let r2 = random_grouped(52, 40, 0, 3, 3, 4);

@@ -1,5 +1,5 @@
-//! The engine/plan serving surface: legacy-builder equivalence on the
-//! paper's running example, concurrent preparation/execution, prepare-time
+//! The engine/plan serving surface: equivalence with direct algorithm
+//! calls on the paper's running example, concurrent preparation/execution, prepare-time
 //! error reporting, and `explain` coverage.
 
 mod common;
@@ -18,29 +18,30 @@ fn flights_engine() -> Engine {
 
 /// Acceptance gate: on the paper's Tables 1–3 example at k = 7 (final
 /// skyline of 4 pairs), every algorithm returns the identical answer
-/// through `Engine::prepare(plan).execute()` as through the legacy
-/// borrowed builder.
+/// through `Engine::prepare(plan).execute()` as through a direct call on
+/// a borrowed `JoinContext`.
 #[test]
-fn engine_equals_legacy_builder_on_paper_example() {
+fn engine_equals_direct_calls_on_paper_example() {
     let engine = flights_engine();
     let pf = paper_flights(false);
+    let cx = JoinContext::new(&pf.outbound, &pf.inbound, JoinSpec::Equality, &[]).unwrap();
+    let cfg = Config::default();
     for algorithm in [
         Algorithm::Naive,
         Algorithm::Grouping,
         Algorithm::DominatorBased,
     ] {
-        let legacy = KsjqQuery::builder(&pf.outbound, &pf.inbound)
-            .k(7)
-            .algorithm(algorithm)
-            .build()
-            .unwrap()
-            .execute()
-            .unwrap();
+        let direct = match algorithm {
+            Algorithm::Naive => ksjq_naive(&cx, 7, &cfg),
+            Algorithm::Grouping => ksjq_grouping(&cx, 7, &cfg),
+            Algorithm::DominatorBased => ksjq_dominator_based(&cx, 7, &cfg),
+        }
+        .unwrap();
         let plan = QueryPlan::new("outbound", "inbound")
             .goal(Goal::Exact(7))
             .algorithm(algorithm);
         let engine_out = engine.prepare(&plan).unwrap().execute().unwrap();
-        assert_eq!(engine_out.pairs, legacy.pairs, "{algorithm}");
+        assert_eq!(engine_out.pairs, direct.pairs, "{algorithm}");
         assert_eq!(engine_out.len(), 4, "{algorithm}"); // Table 3
     }
 }
@@ -264,27 +265,38 @@ fn explain_reports_the_full_plan() {
     assert!(compact.contains("k=7") && compact.contains("kdom=osa"));
 }
 
-/// Find-k goals resolve during prepare and agree with the legacy
-/// build_with_* path.
+/// Find-k goals resolve during prepare and agree with the direct
+/// `find_k_at_least` / `find_k_at_most` searches followed by a grouping
+/// run at the `k` they pick.
 #[test]
-fn find_k_goals_match_legacy_builder() {
+fn find_k_goals_match_direct_calls() {
     let engine = flights_engine();
     let pf = paper_flights(false);
-    let (legacy_q, legacy_report) = KsjqQuery::builder(&pf.outbound, &pf.inbound)
-        .build_with_at_least(2, FindKStrategy::Binary)
-        .unwrap();
-    let prepared = engine
-        .prepare(
-            &QueryPlan::new("outbound", "inbound").goal(Goal::AtLeast(2, FindKStrategy::Binary)),
-        )
-        .unwrap();
-    assert_eq!(prepared.k(), legacy_report.k);
-    assert_eq!(
-        prepared.find_k_report().unwrap().satisfied,
-        legacy_report.satisfied
-    );
-    assert_eq!(
-        prepared.execute().unwrap().pairs,
-        legacy_q.execute().unwrap().pairs
-    );
+    let cx = JoinContext::new(&pf.outbound, &pf.inbound, JoinSpec::Equality, &[]).unwrap();
+    let cfg = Config::default();
+    for (goal, report) in [
+        (
+            Goal::AtLeast(2, FindKStrategy::Binary),
+            find_k_at_least(&cx, 2, FindKStrategy::Binary, &cfg).unwrap(),
+        ),
+        (
+            Goal::AtMost(3, FindKStrategy::Binary),
+            find_k_at_most(&cx, 3, FindKStrategy::Binary, &cfg).unwrap(),
+        ),
+    ] {
+        let prepared = engine
+            .prepare(&QueryPlan::new("outbound", "inbound").goal(goal))
+            .unwrap();
+        assert_eq!(prepared.k(), report.k, "{goal}");
+        assert_eq!(
+            prepared.find_k_report().unwrap().satisfied,
+            report.satisfied,
+            "{goal}"
+        );
+        assert_eq!(
+            prepared.execute().unwrap().pairs,
+            ksjq_grouping(&cx, report.k, &cfg).unwrap().pairs,
+            "{goal}"
+        );
+    }
 }

@@ -34,7 +34,12 @@ proptest! {
 
     /// In-process acceptance property: for random relations, a random
     /// append/delete schedule and every admissible k, maintenance and
-    /// recompute agree on the exact pair sequence at every epoch.
+    /// recompute agree on the exact pair sequence at every epoch. Each
+    /// derived snapshot also equals a fresh load of the surviving raw
+    /// rows (a shadow list kept beside the versions) — over a mixed
+    /// `Min`/`Max` schema, so every derivation round-trips the
+    /// normalisation — and a snapshot pinned before the schedule never
+    /// changes.
     #[test]
     fn maintained_equals_recompute_at_every_epoch(
         init_l in prop::collection::vec(
@@ -59,16 +64,30 @@ proptest! {
             ksjq_grouping(&cx, k, &Config::default()).unwrap()
         };
 
-        let (keys, rows) = to_columns(&init_l);
-        let mut vl = VersionedRelation::new(Schema::uniform(d).unwrap())
-            .unwrap()
-            .append(&keys, &rows)
+        let schema = Schema::builder()
+            .local("c0", Preference::Min)
+            .local("c1", Preference::Max)
+            .local("c2", Preference::Min)
+            .build()
             .unwrap();
-        let (keys, rows) = to_columns(&init_r);
-        let mut vr = VersionedRelation::new(Schema::uniform(d).unwrap())
+        // The surviving raw rows of each side, in id order.
+        let mut shadow = [to_columns(&init_l), to_columns(&init_r)];
+        let fresh_load = |(keys, rows): &(Vec<u64>, Vec<Vec<f64>>)| {
+            Relation::from_grouped_rows(schema.clone(), keys, rows).unwrap()
+        };
+        let (keys, rows) = &shadow[0];
+        let mut vl = VersionedRelation::new(schema.clone())
             .unwrap()
-            .append(&keys, &rows)
+            .append(keys, rows)
             .unwrap();
+        let (keys, rows) = &shadow[1];
+        let mut vr = VersionedRelation::new(schema.clone())
+            .unwrap()
+            .append(keys, rows)
+            .unwrap();
+        let pinned = Arc::clone(vl.snapshot());
+        let pinned_load = fresh_load(&shadow[0]);
+        prop_assert_eq!(&*pinned, &pinned_load);
         let mut cached = recompute(&vl, &vr);
 
         for (op, key, rows) in schedule {
@@ -89,6 +108,9 @@ proptest! {
                 } else {
                     vr = vr.append(&keys, &rows).unwrap();
                 }
+                let side = &mut shadow[op as usize];
+                side.0.extend(keys);
+                side.1.extend(rows);
                 let cx = JoinContext::from_arcs(
                     vl.snapshot().clone(),
                     vr.snapshot().clone(),
@@ -112,9 +134,16 @@ proptest! {
                 } else {
                     vr = vr.delete_key(key).unwrap().0;
                 }
+                let (keys, rows) = &mut shadow[op as usize - 2];
+                let survivors: Vec<usize> = (0..keys.len()).filter(|&i| keys[i] != key).collect();
+                *rows = survivors.iter().map(|&i| rows[i].clone()).collect();
+                *keys = survivors.iter().map(|&i| keys[i]).collect();
                 cached = recompute(&vl, &vr);
             }
+            prop_assert_eq!(&**vl.snapshot(), &fresh_load(&shadow[0]), "left epoch {}", vl.epoch());
+            prop_assert_eq!(&**vr.snapshot(), &fresh_load(&shadow[1]), "right epoch {}", vr.epoch());
         }
+        prop_assert_eq!(&*pinned, &pinned_load, "the pinned snapshot changed");
     }
 }
 

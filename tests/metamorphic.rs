@@ -77,8 +77,8 @@ fn attribute_permutation_invariance() {
     let perm = [2usize, 0, 3, 1];
     let permute = |rel: &Relation| {
         let mut b = Relation::builder(Schema::uniform(4).unwrap());
-        for (t, row) in rel.rows() {
-            let g = rel.group_id(t).unwrap();
+        for t in rel.ids() {
+            let (g, row) = (rel.group_id(t).unwrap(), rel.raw_row(t));
             let newrow: Vec<f64> = perm.iter().map(|&i| row[i]).collect();
             b.add_grouped(g, &newrow).unwrap();
         }
@@ -101,7 +101,7 @@ fn affine_scaling_invariance() {
     // Scale attribute j by (3x + 7) on both relations.
     let transform = |rel: &Relation| {
         let mut b = Relation::builder(Schema::uniform_agg(1, 3).unwrap());
-        for (t, _) in rel.rows() {
+        for t in rel.ids() {
             let g = rel.group_id(t).unwrap();
             let raw = rel.raw_row(t);
             let newrow: Vec<f64> = raw.iter().map(|&v| 3.0 * v + 7.0).collect();
@@ -124,9 +124,9 @@ fn group_renaming_invariance() {
     let r2 = random_grouped(106, 50, 0, 3, 5, 8);
     let rename = |rel: &Relation| {
         let mut b = Relation::builder(Schema::uniform(3).unwrap());
-        for (t, row) in rel.rows() {
+        for t in rel.ids() {
             let g = rel.group_id(t).unwrap();
-            b.add_grouped(1000 - g * 13, row).unwrap(); // order-reversing bijection
+            b.add_grouped(1000 - g * 13, &rel.raw_row(t)).unwrap(); // order-reversing bijection
         }
         b.build().unwrap()
     };
@@ -153,7 +153,8 @@ fn tuple_order_invariance() {
     let mut b = Relation::builder(Schema::uniform(3).unwrap());
     for &old in &order {
         let t = TupleId(old);
-        b.add_grouped(r1.group_id(t).unwrap(), r1.row(t)).unwrap();
+        b.add_grouped(r1.group_id(t).unwrap(), &r1.raw_row(t))
+            .unwrap();
     }
     let shuffled = b.build().unwrap();
 
@@ -179,11 +180,9 @@ fn duplication_doubles_right_side() {
     let r1 = random_grouped(110, 40, 0, 3, 3, 8);
     let r2 = random_grouped(111, 40, 0, 3, 3, 8);
     let mut b = Relation::builder(Schema::uniform(3).unwrap());
-    for (t, row) in r2.rows() {
-        b.add_grouped(r2.group_id(t).unwrap(), row).unwrap();
-    }
-    for (t, row) in r2.rows() {
-        b.add_grouped(r2.group_id(t).unwrap(), row).unwrap();
+    for t in r2.ids().chain(r2.ids()) {
+        b.add_grouped(r2.group_id(t).unwrap(), &r2.raw_row(t))
+            .unwrap();
     }
     let doubled = b.build().unwrap();
     let cx = JoinContext::new(&r1, &r2, JoinSpec::Equality, &[]).unwrap();

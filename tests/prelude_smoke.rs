@@ -7,11 +7,13 @@ use ksjq::prelude::*;
 fn prelude_reexports_compile_and_run() {
     // Every name below comes from `ksjq::prelude` alone.
     let flights = ksjq::datagen::paper_flights(false);
-    let query = KsjqQuery::builder(&flights.outbound, &flights.inbound)
-        .k(7)
-        .algorithm(Algorithm::Grouping)
-        .build()
-        .expect("valid query");
+    let engine = Engine::new();
+    engine.register("outbound", flights.outbound).unwrap();
+    engine.register("inbound", flights.inbound).unwrap();
+    let plan = QueryPlan::new("outbound", "inbound")
+        .goal(Goal::Exact(7))
+        .algorithm(Algorithm::Grouping);
+    let query: PreparedQuery = engine.prepare(&plan).expect("valid query");
     let result: KsjqOutput = query.execute().expect("query runs");
     assert_eq!(result.len(), 4);
 

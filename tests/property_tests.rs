@@ -7,6 +7,7 @@ mod common;
 
 use ksjq::core::{classify, validate_k, Category};
 use ksjq::prelude::*;
+use ksjq::skyline::{MatrixView, RowAccess};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------
@@ -100,11 +101,13 @@ proptest! {
     #[test]
     fn skyline_algorithms_agree(rel in arb_relation(3)) {
         let all: Vec<u32> = (0..rel.n() as u32).collect();
-        let bnl = ksjq::skyline::bnl::skyline_bnl(&rel, &all);
-        let sfs = ksjq::skyline::sfs::skyline_sfs(&rel, &all);
+        let rows = rel.gather_rows();
+        let view = MatrixView::new(rel.d(), &rows);
+        let bnl = ksjq::skyline::bnl::skyline_bnl(&view, &all);
+        let sfs = ksjq::skyline::sfs::skyline_sfs(&view, &all);
         prop_assert_eq!(&bnl, &sfs);
         // Full skyline == d-dominant skyline.
-        let mut kdom = ksjq::skyline::k_dominant_skyline(&rel, &all, rel.d(), KdomAlgo::Naive);
+        let mut kdom = ksjq::skyline::k_dominant_skyline(&view, &all, rel.d(), KdomAlgo::Naive);
         kdom.sort_unstable();
         prop_assert_eq!(&bnl, &kdom);
     }
@@ -112,9 +115,11 @@ proptest! {
     #[test]
     fn kdom_algorithms_agree(rel in arb_relation(4), k in 1usize..=4) {
         let all: Vec<u32> = (0..rel.n() as u32).collect();
-        let naive = ksjq::skyline::k_dominant_skyline(&rel, &all, k, KdomAlgo::Naive);
-        let osa = ksjq::skyline::k_dominant_skyline(&rel, &all, k, KdomAlgo::Osa);
-        let tsa = ksjq::skyline::k_dominant_skyline(&rel, &all, k, KdomAlgo::Tsa);
+        let rows = rel.gather_rows();
+        let view = MatrixView::new(rel.d(), &rows);
+        let naive = ksjq::skyline::k_dominant_skyline(&view, &all, k, KdomAlgo::Naive);
+        let osa = ksjq::skyline::k_dominant_skyline(&view, &all, k, KdomAlgo::Osa);
+        let tsa = ksjq::skyline::k_dominant_skyline(&view, &all, k, KdomAlgo::Tsa);
         prop_assert_eq!(&naive, &osa);
         prop_assert_eq!(&naive, &tsa);
     }
@@ -122,9 +127,11 @@ proptest! {
     #[test]
     fn lemma_1_skyline_grows_with_k(rel in arb_relation(4)) {
         let all: Vec<u32> = (0..rel.n() as u32).collect();
+        let rows = rel.gather_rows();
+        let view = MatrixView::new(rel.d(), &rows);
         let mut prev: Vec<u32> = Vec::new();
         for k in 1..=4 {
-            let cur = ksjq::skyline::k_dominant_skyline(&rel, &all, k, KdomAlgo::Naive);
+            let cur = ksjq::skyline::k_dominant_skyline(&view, &all, k, KdomAlgo::Naive);
             for p in &prev {
                 prop_assert!(cur.contains(p), "k={k} lost {p}");
             }
@@ -212,7 +219,9 @@ proptest! {
         let p = validate_k(&cx, k).unwrap();
         let cls = classify(&cx, &p, KdomAlgo::Tsa);
         let all: Vec<u32> = (0..r1.n() as u32).collect();
-        let global = ksjq::skyline::k_dominant_skyline(&r1, &all, p.k1_prime, KdomAlgo::Naive);
+        let rows = r1.gather_rows();
+        let view = MatrixView::new(r1.d(), &rows);
+        let global = ksjq::skyline::k_dominant_skyline(&view, &all, p.k1_prime, KdomAlgo::Naive);
         for t in 0..r1.n() as u32 {
             let in_global = global.contains(&t);
             prop_assert_eq!(cls.left[t as usize] == Category::SS, in_global, "tuple {}", t);
@@ -221,7 +230,7 @@ proptest! {
                     .left_coverers(t)
                     .iter()
                     .any(|&w| w != t && ksjq::relation::k_dominates(
-                        r1.row_at(w as usize), r1.row_at(t as usize), p.k1_prime));
+                        view.row(w), view.row(t), p.k1_prime));
                 prop_assert!(covered, "NN tuple {} lacks covering dominator", t);
             }
         }
@@ -287,6 +296,8 @@ proptest! {
         let cx = JoinContext::new(&r1, &r2, JoinSpec::Equality, &[AggFunc::Sum]).unwrap();
         let (l1, l2, a) = (cx.l1(), cx.l2(), cx.a());
         let m = cx.materialize();
+        let (rows1, rows2) = (r1.gather_rows(), r2.gather_rows());
+        let (view1, view2) = (MatrixView::new(r1.d(), &rows1), MatrixView::new(r2.d(), &rows2));
         let mut joined = vec![0.0; cx.d_joined()];
         let mut aggs = vec![0.0; a];
         // Every joined tuple as dominator against every joined tuple as
@@ -296,9 +307,9 @@ proptest! {
             for j in 0..m.n().min(12) {
                 let cand = m.row(j);
                 let lc = dom_counts_partial(
-                    r1.row_at(u as usize), cx.left_local_attrs(), &cand[..l1]);
+                    view1.row(u), cx.left_local_attrs(), &cand[..l1]);
                 let rc = dom_counts_partial(
-                    r2.row_at(v as usize), cx.right_local_attrs(), &cand[l1..l1 + l2]);
+                    view2.row(v), cx.right_local_attrs(), &cand[l1..l1 + l2]);
                 cx.fill_aggs(u, v, &mut aggs);
                 let ac = dom_counts(&aggs, &cand[l1 + l2..]);
                 cx.fill(u, v, &mut joined);
@@ -431,14 +442,16 @@ proptest! {
             dom_counts_partial_block_columnar,
         };
         let n = rel.n();
-        let probe = rel.row_at(probe_sel % n).to_vec();
+        let rows = rel.gather_rows();
+        let view = MatrixView::new(rel.d(), &rows);
+        let probe = view.row((probe_sel % n) as u32).to_vec();
         let mut row_major = Vec::new();
-        dom_counts_block(rel.values(), &probe, &mut row_major);
+        dom_counts_block(&rows, &probe, &mut row_major);
         let mut columnar = Vec::new();
         dom_counts_block_columnar(rel.columns(), n, &probe, &mut columnar);
         prop_assert_eq!(&row_major, &columnar);
         for (t, c) in columnar.iter().enumerate() {
-            prop_assert_eq!(*c, dom_counts(rel.row_at(t), &probe), "tuple {}", t);
+            prop_assert_eq!(*c, dom_counts(view.row(t as u32), &probe), "tuple {}", t);
         }
         // Arbitrary non-empty attribute subset for the partial form.
         let attrs: Vec<usize> = (0..4).filter(|i| attr_mask & (1 << i) != 0).collect();
@@ -449,7 +462,7 @@ proptest! {
         for (t, c) in partial.iter().enumerate() {
             prop_assert_eq!(
                 *c,
-                dom_counts_partial(rel.row_at(t), &attrs, &seg),
+                dom_counts_partial(view.row(t as u32), &attrs, &seg),
                 "tuple {} attrs {:?}", t, attrs
             );
         }
@@ -566,10 +579,11 @@ proptest! {
         // Verify the UVP premise actually holds for the k″-sized subsets
         // (no two tuples share k″ attribute values).
         for rel in [&r1, &r2] {
+            let rows = rel.gather_rows();
+            let view = MatrixView::new(rel.d(), &rows);
             for i in 0..rel.n() as u32 {
                 for j in 0..i {
-                    let shared = ksjq::relation::dominance::equal_count(
-                        rel.row_at(i as usize), rel.row_at(j as usize));
+                    let shared = ksjq::relation::dominance::equal_count(view.row(i), view.row(j));
                     prop_assert!(shared < p.k1_pp.min(p.k2_pp),
                         "UVP premise violated: tuples share {} values", shared);
                 }
