@@ -96,7 +96,7 @@ pub use target::{
     attr_sums, order_by_attr_sum, precompute_target_sets, target_set, target_set_for_values,
     target_set_rowmajor, TargetCache, TargetScratch,
 };
-pub use verify::{verify_candidates, CheckCounters, ColumnarCheck, JoinedCheck};
+pub use verify::{verify_candidates, verify_legs, CheckCounters, ColumnarCheck, JoinedCheck, Legs};
 
 // Re-exported so engine users don't need direct `ksjq-relation` /
 // `ksjq-skyline` dependencies for the registry types and the kdom

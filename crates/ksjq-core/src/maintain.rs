@@ -22,8 +22,8 @@
 //!   [`ColumnarCheck`] is a complete test — and costs `O(|Δ|)` per
 //!   cached pair instead of a full target-set scan of the left relation.
 //! * A new pair (at least one new leg) is an ordinary candidate: it
-//!   survives iff no joined tuple k-dominates it, verified with the same
-//!   target-set + split-side check the distributed `CHECK` path uses.
+//!   survives iff no joined tuple k-dominates it, verified with
+//!   [`target_set_for_values`] + [`ColumnarCheck::dominated_via_left`].
 //!
 //! Deletes are *not* maintained incrementally: removing a row shifts the
 //! ids of every later row and can resurrect previously dominated pairs,

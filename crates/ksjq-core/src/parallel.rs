@@ -8,7 +8,7 @@
 //! over workers (`even_ranges`), and `verify_parallel` then hands
 //! every worker whole right legs, so each `τ(v′)` is still built exactly
 //! once. Worker [`CheckCounters`] are summed, so `ExecStats` reports the
-//! same kernel work regardless of thread count, and the survivors are
+//! same kernel work regardless of thread count, and the verdicts are
 //! concatenated in candidate order.
 //!
 //! The classification phase shards the same way — see
@@ -85,36 +85,34 @@ fn leg_ranges(pairs: &[(u32, u32)], threads: usize) -> Vec<Range<usize>> {
     ranges
 }
 
-/// Verify `pairs` (grouped by right leg) with `threads` workers; returns
-/// the surviving pairs in candidate order plus the summed kernel counters.
-/// Shard boundaries never split a right leg ([`leg_ranges`]), so no
-/// `τ(v′)` is built twice.
+/// Verify `pairs` (leg indices, grouped by right leg) with `threads`
+/// workers; returns one dominated bit per pair, in `pairs` order, plus
+/// the summed kernel counters. Shard boundaries never split a right leg
+/// ([`leg_ranges`]), so no `τ(v′)` is built twice.
 pub(crate) fn verify_parallel(
     ix: &LegIndex<'_, '_>,
     pairs: &[(u32, u32)],
     threads: usize,
     deadline: Option<Instant>,
-) -> CoreResult<(Vec<(u32, u32)>, CheckCounters)> {
+) -> CoreResult<(Vec<bool>, CheckCounters)> {
     let ranges = leg_ranges(pairs, threads);
     let parts = run_ranges(&ranges, |range, cancelled| {
         let mut chk = LegCheck::new(ix);
         let mut cp = Checkpoint::new(deadline);
-        let mut out = Vec::new();
+        let mut bits = Vec::with_capacity(range.len());
         for &(u, v) in &pairs[range] {
             cp.tick_shared(cancelled)?;
-            if !chk.dominated(u, v) {
-                out.push((u, v));
-            }
+            bits.push(chk.dominated(u, v));
         }
-        Ok((out, chk.counters()))
+        Ok((bits, chk.counters()))
     })?;
-    let mut survivors = Vec::new();
+    let mut dominated = Vec::with_capacity(pairs.len());
     let mut counters = CheckCounters::default();
-    for (out, c) in parts {
-        survivors.extend(out);
+    for (bits, c) in parts {
+        dominated.extend(bits);
         counters.absorb(c);
     }
-    Ok((survivors, counters))
+    Ok((dominated, counters))
 }
 
 #[cfg(test)]

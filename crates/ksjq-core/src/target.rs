@@ -115,35 +115,35 @@ pub fn target_set_with(
     k_pp: usize,
     scratch: &mut TargetScratch,
 ) -> Vec<u32> {
-    at_least(local_counts(rel, locals, x_prime, scratch).0, k_pp)
-}
-
-/// [`TargetScratch`]'s sweep against tuple `x_prime` of `rel` itself. The
-/// two-sided verifier (`crate::verify`) keeps the counts of the members
-/// it selects.
-pub(crate) fn local_counts<'s>(
-    rel: &Relation,
-    locals: &[usize],
-    x_prime: u32,
-    scratch: &'s mut TargetScratch,
-) -> (&'s [u32], &'s [u32]) {
     scratch.probe.clear();
     scratch
         .probe
         .extend(locals.iter().map(|&attr| rel.value(TupleId(x_prime), attr)));
+    at_least(scratch.sweep(rel, locals).0, k_pp)
+}
+
+/// [`TargetScratch`]'s sweep against probe values (in `locals` order)
+/// that need not be a tuple of `rel`. The leg kernel (`crate::verify`)
+/// keeps the counts of the members it selects.
+pub(crate) fn local_counts<'s>(
+    rel: &Relation,
+    locals: &[usize],
+    probe: &[f64],
+    scratch: &'s mut TargetScratch,
+) -> (&'s [u32], &'s [u32]) {
+    debug_assert_eq!(probe.len(), locals.len());
+    scratch.probe.clear();
+    scratch.probe.extend_from_slice(probe);
     scratch.sweep(rel, locals)
 }
 
 /// [`target_set_with`] against an **external** probe: the candidate's
 /// local values are supplied directly (in `locals` order) instead of
-/// read from a row of `rel`. This is the distributed verification
-/// primitive — a router ships a candidate's joined values to a shard
-/// that does not hold the candidate, and the shard filters its own left
-/// relation against them. By the same attribute counting as
-/// [`target_set`], any joined tuple of this shard that k-dominates the
+/// read from a row of `rel`. Incremental maintenance probes with joined
+/// rows that are not (yet) tuples of `rel`. By the same attribute
+/// counting as [`target_set`], any joined tuple that k-dominates the
 /// candidate has its left leg in the returned set, so scanning it (via
-/// `ColumnarCheck::dominated_via_left`) is a complete local dominance
-/// test.
+/// `ColumnarCheck::dominated_via_left`) is a complete dominance test.
 pub fn target_set_for_values(
     rel: &Relation,
     locals: &[usize],
@@ -151,10 +151,7 @@ pub fn target_set_for_values(
     k_pp: usize,
     scratch: &mut TargetScratch,
 ) -> Vec<u32> {
-    debug_assert_eq!(probe.len(), locals.len());
-    scratch.probe.clear();
-    scratch.probe.extend_from_slice(probe);
-    at_least(scratch.sweep(rel, locals).0, k_pp)
+    at_least(local_counts(rel, locals, probe, scratch).0, k_pp)
 }
 
 /// The scalar row-major reference for [`target_set`]: the relation's

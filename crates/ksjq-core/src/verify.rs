@@ -1,5 +1,5 @@
 //! Candidate verification: the two-sided leg kernel of the grouping
-//! algorithm, plus the row-probe verifiers.
+//! algorithm and the distributed `CHECK`, plus the row-probe verifiers.
 //!
 //! A candidate joined tuple `t′ = u′ ⋈ v′` survives iff no joined tuple
 //! k-dominates it: no `t = u ⋈ v` is `≤` `t′` on at least `k` of the
@@ -25,8 +25,10 @@
 //!
 //! # The leg kernel ([`verify_candidates`])
 //!
-//! Candidates are verified by leg ids, grouped by their right leg `v′`.
-//! For each distinct `v′` the kernel runs the same columnar sweep as
+//! Candidates are verified as pairs of legs given by value ([`Legs`]:
+//! each distinct base tuple once, its local values then its aggregate
+//! inputs), grouped by their right leg `v′`. For each distinct `v′` the
+//! kernel runs the same columnar sweep as
 //! [`crate::target::target_set_with`] **once**, keeping every member of
 //! `τ(v′)` with its right-local `≤`/`<` counts (8 bytes a member). The
 //! members are bucketed by partner span — one bucket per right group for
@@ -37,7 +39,9 @@
 //! dominated candidates exit early), with left tuples that join nothing
 //! dropped.
 //!
-//! Checking `(u′, v′)` walks `u ∈ τ(u′)`. An O(1) per-left-tuple slot
+//! The candidate's aggregates come from [`JoinContext::combine_slot`]
+//! over the two legs' aggregate inputs. Checking `(u′, v′)` walks
+//! `u ∈ τ(u′)`. An O(1) per-left-tuple slot
 //! names the bucket of `u`'s partners. With `need = k − a − le(u)` the
 //! scan stops at the first bucket member whose `≤` count is below
 //! `need`: even perfect aggregates could not lift it, or anything after
@@ -50,11 +54,18 @@
 //! algorithm — the facade's differential suite checks this across join
 //! kinds, `a`, ties and thread counts.
 //!
+//! Nothing in the kernel needs a leg to be a tuple of the relations it
+//! is checked against: the sweeps start from the leg's values, and a
+//! candidate equal to a resident joined tuple is not dominated by it (the
+//! verdict needs a strict position). So the distributed `CHECK` verifies
+//! another shard's candidates with the same kernel ([`verify_legs`]);
+//! grouping reaches it through [`verify_candidates`], which gathers its
+//! own candidates' legs first ([`Legs::gather`]).
+//!
 //! # Row probes
 //!
-//! Incremental maintenance and the distributed `CHECK` probe with
-//! external joined rows that have no leg id to memoise on; they use
-//! [`ColumnarCheck::dominated_via_left`] over `τ(u′) ⋈ R2`. The
+//! Only incremental maintenance still probes one joined row at a time,
+//! with [`ColumnarCheck::dominated_via_left`] over `τ(u′) ⋈ R2`. The
 //! dominator-based algorithm keeps [`ColumnarCheck::dominated_via_both`],
 //! an independent kernel the benchmark uses as its correctness reference.
 //! [`JoinedCheck`] is the scalar row-major oracle of both.
@@ -64,7 +75,9 @@ use crate::error::CoreResult;
 use crate::params::{validate_k, KsjqParams};
 use crate::target::{attr_sums, local_counts, order_by_attr_sum, TargetScratch};
 use ksjq_join::{JoinContext, JoinSpec};
-use ksjq_relation::{accumulate_le_lt, dom_counts, dom_counts_partial, DomCounts, Relation};
+use ksjq_relation::{
+    accumulate_le_lt, dom_counts, dom_counts_partial, DomCounts, Relation, TupleId,
+};
 use std::cmp::Reverse;
 use std::ops::Range;
 use std::time::Instant;
@@ -107,12 +120,83 @@ struct Member {
 /// Slot of a left tuple that joins nothing.
 const NO_BUCKET: u32 = u32::MAX;
 
+/// Candidate pairs given **by value** — the form the leg kernel checks.
+///
+/// Each left leg is its `l1` local values in joined-layout order, then
+/// its `a` aggregate inputs in slot order, all in the relation's stored
+/// normalised form: leg `i` is `left[i·(l1 + a)..(i + 1)·(l1 + a)]`.
+/// Right legs are laid out the same way with `l2`. `pairs` names each
+/// candidate by its `(left leg, right leg)` indices. A leg need not be a
+/// tuple of the relations it is checked against: the distributed `CHECK`
+/// verifies another shard's candidates ([`verify_legs`]).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Legs {
+    /// Left legs, `l1 + a` values each.
+    pub left: Vec<f64>,
+    /// Right legs, `l2 + a` values each.
+    pub right: Vec<f64>,
+    /// Candidates as `(left leg, right leg)` indices.
+    pub pairs: Vec<(u32, u32)>,
+}
+
+impl Legs {
+    /// Gather the distinct legs of `cx`'s tuple-id `pairs` once each, in
+    /// ascending tuple id. `pairs` keep their order and are re-indexed to
+    /// legs in place. Also returns each left and right leg's tuple id.
+    pub fn gather(cx: &JoinContext<'_>, mut pairs: Vec<(u32, u32)>) -> (Legs, Vec<u32>, Vec<u32>) {
+        let (left, lids, lindex) = gather_side(
+            cx.left(),
+            cx.left_local_attrs(),
+            cx.a(),
+            pairs.iter().map(|p| p.0),
+        );
+        let (right, rids, rindex) = gather_side(
+            cx.right(),
+            cx.right_local_attrs(),
+            cx.a(),
+            pairs.iter().map(|p| p.1),
+        );
+        for (u, v) in &mut pairs {
+            (*u, *v) = (lindex[*u as usize], rindex[*v as usize]);
+        }
+        (Legs { left, right, pairs }, lids, rids)
+    }
+}
+
+/// One side of [`Legs::gather`]: the leg values of each distinct tuple
+/// of `ids` in ascending id, those ids, and each tuple's leg index.
+fn gather_side(
+    rel: &Relation,
+    locals: &[usize],
+    a: usize,
+    ids: impl Iterator<Item = u32>,
+) -> (Vec<f64>, Vec<u32>, Vec<u32>) {
+    let mut index = vec![u32::MAX; rel.n()];
+    for t in ids {
+        index[t as usize] = 0;
+    }
+    let tuples: Vec<u32> = (0..rel.n() as u32)
+        .filter(|&t| index[t as usize] == 0)
+        .collect();
+    let attrs: Vec<usize> = locals
+        .iter()
+        .copied()
+        .chain((0..a).map(|s| rel.schema().agg_index(s).expect("validated agg slot")))
+        .collect();
+    let mut values = Vec::with_capacity(tuples.len() * attrs.len());
+    for (i, &t) in tuples.iter().enumerate() {
+        index[t as usize] = i as u32;
+        values.extend(attrs.iter().map(|&attr| rel.value(TupleId(t), attr)));
+    }
+    (values, tuples, index)
+}
+
 /// The execution-wide, read-only half of the leg kernel: the right
 /// bucket layout, each left tuple's bucket slot, and `τ(u′)` with counts
-/// for every candidate left leg. Built once per [`verify_candidates`]
-/// call and shared by its workers.
+/// for every left leg. Built once per call and shared by its workers.
 pub(crate) struct LegIndex<'b, 'a> {
     cx: &'b JoinContext<'a>,
+    legs: &'b Legs,
     k: usize,
     k2_pp: usize,
     /// Right scan position → bucket (the right group for equality joins,
@@ -124,8 +208,7 @@ pub(crate) struct LegIndex<'b, 'a> {
     /// Left tuple → its partner span in right scan positions. Theta joins
     /// only: their spans cut through the single bucket.
     span: Vec<(u32, u32)>,
-    /// Left tuple `u′` → the range of `τ(u′)` within `members` (empty for
-    /// tuples that are no candidate's left leg).
+    /// Left leg `u′` → the range of `τ(u′)` within `members`.
     left: Vec<(u32, u32)>,
     members: Vec<Member>,
     /// Aggregate inputs gathered once: `lagg[u·a + s]` is left tuple
@@ -137,13 +220,13 @@ pub(crate) struct LegIndex<'b, 'a> {
 
 impl<'b, 'a> LegIndex<'b, 'a> {
     /// Lay out `cx`'s buckets and build `τ(u′)` for every left leg of
-    /// `pairs`, sharding the sweeps over `threads` workers. Returns the
+    /// `legs`, sharding the sweeps over `threads` workers. Returns the
     /// sweeps' comparison count alongside (deterministic: each leg is
     /// swept exactly once whatever the thread count).
     fn build(
         cx: &'b JoinContext<'a>,
         params: &KsjqParams,
-        pairs: &[(u32, u32)],
+        legs: &'b Legs,
         threads: usize,
         deadline: Option<Instant>,
     ) -> CoreResult<(Self, CheckCounters)> {
@@ -178,23 +261,20 @@ impl<'b, 'a> LegIndex<'b, 'a> {
             }
         }
 
-        // τ(u′) of every distinct left leg, sharded over workers.
-        let mut is_leg = vec![false; n1];
-        for &(u, _) in pairs {
-            is_leg[u as usize] = true;
-        }
-        let legs: Vec<u32> = (0..n1 as u32).filter(|&u| is_leg[u as usize]).collect();
+        // τ(u′) of every left leg, sharded over workers.
+        let stride = params.l1 + params.a;
+        let n_legs = legs.left.len() / stride;
         let scores = attr_sums(left);
         let locals = cx.left_local_attrs();
-        let ranges = crate::parallel::even_ranges(legs.len(), threads);
+        let ranges = crate::parallel::even_ranges(n_legs, threads);
         let parts = crate::parallel::run_ranges(&ranges, |range, cancelled| {
             let mut cp = Checkpoint::new(deadline);
             let mut scratch = TargetScratch::default();
             let mut ids = Vec::new();
             let (mut members, mut ends) = (Vec::new(), Vec::with_capacity(range.len()));
-            for &u in &legs[range] {
+            for leg in legs.left[range.start * stride..range.end * stride].chunks_exact(stride) {
                 cp.tick_shared(cancelled)?;
-                let (le, lt) = local_counts(left, locals, u, &mut scratch);
+                let (le, lt) = local_counts(left, locals, &leg[..params.l1], &mut scratch);
                 ids.clear();
                 ids.extend((0..n1 as u32).filter(|&t| {
                     le[t as usize] as usize >= params.k1_pp && slot[t as usize] != NO_BUCKET
@@ -209,13 +289,13 @@ impl<'b, 'a> LegIndex<'b, 'a> {
             }
             Ok((members, ends))
         })?;
-        let mut left_ranges = vec![(0u32, 0u32); n1];
+        let mut left_ranges = Vec::with_capacity(n_legs);
         let mut members = Vec::with_capacity(parts.iter().map(|(m, _)| m.len()).sum());
-        for (range, (part, ends)) in ranges.into_iter().zip(parts) {
+        for (part, ends) in parts {
             let base = members.len() as u32;
             let mut start = base;
-            for (&u, &end) in legs[range].iter().zip(&ends) {
-                left_ranges[u as usize] = (start, base + end);
+            for end in ends {
+                left_ranges.push((start, base + end));
                 start = base + end;
             }
             members.extend(part);
@@ -223,12 +303,13 @@ impl<'b, 'a> LegIndex<'b, 'a> {
         let lagg = gather_aggs(left, params.a, 0..n1 as u32);
         let ragg = gather_aggs(right, params.a, cx.right_scan_order().iter().copied());
         let counters = CheckCounters {
-            attr_cmps: (legs.len() * n1 * params.l1) as u64,
+            attr_cmps: (n_legs * n1 * params.l1) as u64,
             ..CheckCounters::default()
         };
         Ok((
             LegIndex {
                 cx,
+                legs,
                 k: params.k,
                 k2_pp: params.k2_pp,
                 pos_bucket,
@@ -248,6 +329,18 @@ impl<'b, 'a> LegIndex<'b, 'a> {
     fn left_targets(&self, u: u32) -> &[Member] {
         let (s, e) = self.left[u as usize];
         &self.members[s as usize..e as usize]
+    }
+
+    /// The `l1 + a` values of left leg `u`.
+    fn left_leg(&self, u: u32) -> &[f64] {
+        let stride = self.cx.l1() + self.cx.a();
+        &self.legs.left[u as usize * stride..][..stride]
+    }
+
+    /// The `l2 + a` values of right leg `v`.
+    fn right_leg(&self, v: u32) -> &[f64] {
+        let stride = self.cx.l2() + self.cx.a();
+        &self.legs.right[v as usize * stride..][..stride]
     }
 }
 
@@ -296,12 +389,13 @@ impl<'i, 'b, 'a> LegCheck<'i, 'b, 'a> {
         self.counters
     }
 
-    /// Sweep the right relation against `v′` and bucket `τ(v′)`.
+    /// Sweep the right relation against right leg `v′` and bucket `τ(v′)`.
     fn load(&mut self, v: u32) {
         let ix = self.ix;
         let cx = ix.cx;
         let right = cx.right();
-        let (le, lt) = local_counts(right, cx.right_local_attrs(), v, &mut self.scratch);
+        let probe = &ix.right_leg(v)[..cx.l2()];
+        let (le, lt) = local_counts(right, cx.right_local_attrs(), probe, &mut self.scratch);
         self.counters.attr_cmps += (right.n() * cx.l2()) as u64;
         self.right.clear();
         self.bucket_start.fill(0);
@@ -326,9 +420,9 @@ impl<'i, 'b, 'a> LegCheck<'i, 'b, 'a> {
         self.leg = v;
     }
 
-    /// Is candidate `u′ ⋈ v′` k-dominated by some `u ⋈ v` with
-    /// `u ∈ τ(u′)`, `v ∈ τ(v′)`? `u′` must be a left leg the index was
-    /// built for; calls sharing `v′` should be consecutive.
+    /// Is candidate `u′ ⋈ v′` (leg indices) k-dominated by some `u ⋈ v`
+    /// with `u ∈ τ(u′)`, `v ∈ τ(v′)`? Calls sharing `v′` should be
+    /// consecutive.
     pub(crate) fn dominated(&mut self, u_prime: u32, v_prime: u32) -> bool {
         if self.leg != v_prime {
             self.load(v_prime);
@@ -340,7 +434,11 @@ impl<'i, 'b, 'a> LegCheck<'i, 'b, 'a> {
             (cx.left().n() - targets.len() + cx.right().n() - self.right.len()) as u64;
         let a = cx.a();
         if a > 0 {
-            cx.fill_aggs(u_prime, v_prime, &mut self.cand_aggs);
+            let lv = &ix.left_leg(u_prime)[cx.l1()..];
+            let rv = &ix.right_leg(v_prime)[cx.l2()..];
+            for s in 0..a {
+                self.cand_aggs[s] = cx.combine_slot(s, lv[s], rv[s]);
+            }
         }
         let k = ix.k as u32;
         // k > d ≥ a for every valid k.
@@ -394,30 +492,68 @@ impl<'i, 'b, 'a> LegCheck<'i, 'b, 'a> {
     }
 }
 
-/// Order `pairs` by right leg (stable counting sort), so every right
-/// leg's candidates are consecutive and its `τ(v′)` is built once.
-fn by_right_leg(pairs: &[(u32, u32)], n2: usize) -> Vec<(u32, u32)> {
-    let mut next = vec![0u32; n2 + 1];
-    for &(_, v) in pairs {
-        next[v as usize + 1] += 1;
+/// `items` ordered by their right leg `right(item) < n_right` (stable
+/// counting sort), so every right leg's candidates are consecutive and
+/// its `τ(v′)` is built once.
+fn by_right_leg<T: Copy>(items: &[T], n_right: usize, right: impl Fn(&T) -> u32) -> Vec<T> {
+    let mut next = vec![0u32; n_right + 1];
+    for item in items {
+        next[right(item) as usize + 1] += 1;
     }
-    for i in 0..n2 {
+    for i in 0..n_right {
         next[i + 1] += next[i];
     }
-    let mut out = vec![(0, 0); pairs.len()];
-    for &(u, v) in pairs {
-        let at = &mut next[v as usize];
-        out[*at as usize] = (u, v);
+    let mut out = items.to_vec();
+    for item in items {
+        let at = &mut next[right(item) as usize];
+        out[*at as usize] = *item;
         *at += 1;
     }
     out
+}
+
+/// Check `pairs` (leg indices into `legs`, grouped by right leg) with the
+/// leg kernel, calling `verdict(q, dominated)` for each position `q` of
+/// `pairs`. With `threads ≤ 1` verdicts arrive as their checks complete;
+/// with more, after the workers join.
+fn check_legs(
+    cx: &JoinContext<'_>,
+    params: &KsjqParams,
+    legs: &Legs,
+    pairs: &[(u32, u32)],
+    threads: usize,
+    deadline: Option<Instant>,
+    mut verdict: impl FnMut(usize, bool),
+) -> CoreResult<CheckCounters> {
+    if pairs.is_empty() {
+        return Ok(CheckCounters::default());
+    }
+    let (ix, mut counters) = LegIndex::build(cx, params, legs, threads, deadline)?;
+    if threads <= 1 {
+        let mut chk = LegCheck::new(&ix);
+        let mut cp = Checkpoint::new(deadline);
+        for (q, &(u, v)) in pairs.iter().enumerate() {
+            cp.tick()?;
+            verdict(q, chk.dominated(u, v));
+        }
+        counters.absorb(chk.counters());
+    } else {
+        let (bits, c) = crate::parallel::verify_parallel(&ix, pairs, threads, deadline)?;
+        counters.absorb(c);
+        for (q, dominated) in bits.into_iter().enumerate() {
+            verdict(q, dominated);
+        }
+    }
+    Ok(counters)
 }
 
 /// Verify candidate pairs `(u′, v′)` of `cx`'s join under `k`-dominance
 /// with the two-sided leg kernel (see the module docs), calling
 /// `sink(u′, v′)` for every survivor; returns the kernel's work counters.
 ///
-/// This is the grouping algorithm's verification phase. With
+/// This is the grouping algorithm's verification phase: the candidates'
+/// distinct legs are gathered by value once ([`Legs::gather`]) and
+/// checked as [`verify_legs`] checks a foreign shard's. With
 /// `threads ≤ 1` survivors reach `sink` as their checks complete, grouped
 /// by right leg. With more threads the sweeps and checks are sharded over
 /// scoped workers (whole right legs per worker) and survivors are
@@ -438,29 +574,68 @@ pub fn verify_candidates(
     mut sink: impl FnMut(u32, u32),
 ) -> CoreResult<CheckCounters> {
     let params = validate_k(cx, k)?;
-    if pairs.is_empty() {
-        return Ok(CheckCounters::default());
-    }
-    let pairs = by_right_leg(pairs, cx.right().n());
-    let (ix, mut counters) = LegIndex::build(cx, &params, &pairs, threads, deadline)?;
-    if threads <= 1 {
-        let mut chk = LegCheck::new(&ix);
-        let mut cp = Checkpoint::new(deadline);
-        for &(u, v) in &pairs {
-            cp.tick()?;
-            if !chk.dominated(u, v) {
-                sink(u, v);
+    // Sorted by right tuple id, the pairs stay grouped by right leg once
+    // re-indexed: right legs are numbered in ascending tuple id.
+    let sorted = by_right_leg(pairs, cx.right().n(), |p| p.1);
+    let (legs, lids, rids) = Legs::gather(cx, sorted);
+    check_legs(
+        cx,
+        &params,
+        &legs,
+        &legs.pairs,
+        threads,
+        deadline,
+        |q, dominated| {
+            if !dominated {
+                let (u, v) = legs.pairs[q];
+                sink(lids[u as usize], rids[v as usize]);
             }
-        }
-        counters.absorb(chk.counters());
-    } else {
-        let (survivors, c) = crate::parallel::verify_parallel(&ix, &pairs, threads, deadline)?;
-        counters.absorb(c);
-        for (u, v) in survivors {
-            sink(u, v);
-        }
-    }
-    Ok(counters)
+        },
+    )
+}
+
+/// Is each candidate of `legs` k-dominated by some joined tuple of `cx`?
+/// One bit per pair, in `legs.pairs` order, from the same leg kernel as
+/// [`verify_candidates`] (serial). The legs need not belong to `cx`'s
+/// relations: this is a shard's half of the distributed `CHECK`, run on
+/// another shard's candidates.
+///
+/// # Errors
+///
+/// As [`verify_candidates`].
+///
+/// # Panics
+///
+/// If a leg list is not a whole number of `l + a`-value legs, or a pair
+/// names a leg that is not there. Callers validate wire input first.
+pub fn verify_legs(
+    cx: &JoinContext<'_>,
+    k: usize,
+    legs: &Legs,
+    deadline: Option<Instant>,
+) -> CoreResult<(Vec<bool>, CheckCounters)> {
+    let params = validate_k(cx, k)?;
+    let (ls, rs) = (params.l1 + params.a, params.l2 + params.a);
+    assert!(
+        legs.left.len().is_multiple_of(ls) && legs.right.len().is_multiple_of(rs),
+        "leg lists must hold whole legs"
+    );
+    let (nl, nr) = (
+        (legs.left.len() / ls) as u32,
+        (legs.right.len() / rs) as u32,
+    );
+    assert!(
+        legs.pairs.iter().all(|&(u, v)| u < nl && v < nr),
+        "pairs must name existing legs"
+    );
+    let all: Vec<u32> = (0..legs.pairs.len() as u32).collect();
+    let order = by_right_leg(&all, nr as usize, |&p| legs.pairs[p as usize].1);
+    let sorted: Vec<(u32, u32)> = order.iter().map(|&p| legs.pairs[p as usize]).collect();
+    let mut bits = vec![false; legs.pairs.len()];
+    let counters = check_legs(cx, &params, legs, &sorted, 1, deadline, |q, dominated| {
+        bits[order[q] as usize] = dominated
+    })?;
+    Ok((bits, counters))
 }
 
 /// The scalar row-major oracle of the row-probe verifiers. It gathers both
@@ -810,9 +985,8 @@ fn scan_span(
 }
 
 /// The columnar verifier for candidates given as **joined rows**: the
-/// external probes of incremental maintenance and the distributed
-/// `CHECK`, which have no leg id to memoise on, and the dominator-based
-/// algorithm's `dom(u′) ⋈ dom(v′)` reference path. Same verdicts as
+/// probes of incremental maintenance and the dominator-based algorithm's
+/// `dom(u′) ⋈ dom(v′)` reference path. Same verdicts as
 /// [`JoinedCheck`] (the scalar row-major oracle), but the partner-half
 /// `≤`/`<` counts are computed by stride-1 lane-blocked sweeps over the
 /// right local columns permuted into the join's *scan order*, where every
@@ -1267,11 +1441,47 @@ mod tests {
         assert_eq!(threaded, c);
     }
 
+    /// Legs are gathered once each, in ascending tuple id, as their
+    /// local values then their aggregate inputs; pairs keep their order.
+    #[test]
+    fn gather_lays_out_locals_then_aggregate_inputs() {
+        // Attribute 0 is the aggregate, 1 and 2 the locals.
+        let schema = || Schema::uniform_agg(1, 2).unwrap();
+        let rows = |base: f64| -> Vec<Vec<f64>> {
+            (0..3)
+                .map(|i| vec![base + i as f64, 10.0 + i as f64, 20.0 + i as f64])
+                .collect()
+        };
+        let r1 = Relation::from_grouped_rows(schema(), &[0, 0, 0], &rows(0.0)).unwrap();
+        let r2 = Relation::from_grouped_rows(schema(), &[0, 0, 0], &rows(100.0)).unwrap();
+        let cx = JoinContext::new(&r1, &r2, JoinSpec::Equality, &[AggFunc::Sum]).unwrap();
+        let (legs, lids, rids) = Legs::gather(&cx, vec![(2, 1), (0, 1), (2, 0)]);
+        assert_eq!((lids, rids), (vec![0, 2], vec![0, 1]));
+        assert_eq!(legs.left, vec![10.0, 20.0, 0.0, 12.0, 22.0, 2.0]);
+        assert_eq!(legs.right, vec![10.0, 20.0, 100.0, 11.0, 21.0, 101.0]);
+        assert_eq!(legs.pairs, vec![(1, 1), (0, 1), (1, 0)]);
+        // Checking a join's own pairs as legs gives the kernel's verdicts.
+        let m = cx.materialize();
+        let (all, _, _) = Legs::gather(&cx, m.pairs.clone());
+        let (bits, _) = verify_legs(&cx, 4, &all, None).unwrap();
+        let mut kept = Vec::new();
+        verify_candidates(&cx, 4, &m.pairs, 1, None, |u, v| kept.push((u, v))).unwrap();
+        kept.sort_unstable();
+        let survivors: Vec<(u32, u32)> = m
+            .pairs
+            .iter()
+            .zip(&bits)
+            .filter(|&(_, &dominated)| !dominated)
+            .map(|(&p, _)| p)
+            .collect();
+        assert_eq!(survivors, kept);
+    }
+
     #[test]
     fn by_right_leg_groups_stably() {
         let pairs = [(5, 2), (1, 0), (3, 2), (0, 1), (4, 0)];
         assert_eq!(
-            by_right_leg(&pairs, 3),
+            by_right_leg(&pairs, 3, |p| p.1),
             vec![(1, 0), (4, 0), (0, 1), (5, 2), (3, 2)]
         );
     }

@@ -111,8 +111,8 @@ fn parse_args() -> (RouterConfig, Topology) {
                      \x20 --shard          one shard's replica set; repeat per shard (order = shard index)\n\
                      \x20 --addr           listen address (default 127.0.0.1:7979; port 0 = ephemeral)\n\
                      \x20 --cache-entries  result-cache capacity (default 128; 0 disables)\n\
-                     \x20 --fetch-batch    round-2 FETCH pairs per request (default 256)\n\
-                     \x20 --check-batch    round-2 CHECK probe rows per request (default 64)\n\
+                     \x20 --fetch-batch    round-2 FETCH candidate pairs per frame (default 16384)\n\
+                     \x20 --check-batch    round-2 CHECK candidate pairs per frame (default 16384)\n\
                      \x20 --data-dir       two-phase decision WAL here: a restart replays it and\n\
                      \x20                  resolves in-doubt LOAD/APPENDs before accepting traffic\n\
                      \x20 --wal-max-bytes  seal the decision WAL into a segment past N bytes and\n\

@@ -17,11 +17,16 @@
 //!   shard's local k-dominant skyline — a sound superset of the global
 //!   answer's members on that shard, because all rows of a join group
 //!   co-locate. Round 2 (only with ≥ 2 participating shards) `FETCH`es
-//!   every candidate's joined values from its own shard and `CHECK`s
-//!   them on every other participating shard; a candidate k-dominated
-//!   anywhere is dropped. Survivors are remapped to global row ids
-//!   (strictly monotone maps) and k-way merged — byte-identical to the
-//!   single-node answer.
+//!   every shard's candidates as **legs** — each distinct base tuple
+//!   once, by value, plus the pairs as leg indices — and `CHECK`s them on
+//!   every other participating shard, which runs the same two-sided leg
+//!   kernel as grouping (`ksjq_core::verify_legs`); a candidate
+//!   k-dominated anywhere is dropped. `CHECK` frames are cut by right leg
+//!   (`leg_frames`): each carries only the legs its pairs use, at most
+//!   `check_batch` pairs, and fits [`MAX_LINE_BYTES`] by measured length.
+//!   Every backend frame gets the deadline budget left when it is sent.
+//!   Survivors are remapped to global row ids (strictly monotone maps)
+//!   and k-way merged — byte-identical to the single-node answer.
 //! * Replica failure — any transport error fails over to the next
 //!   replica of the shard, with bounded, jittered retries; only when a
 //!   whole replica set is down does the client see `ERR unavailable`.
@@ -34,8 +39,8 @@ use crate::topology::{shard_of, Topology};
 use ksjq_core::{ExecStats, Goal, KsjqOutput};
 use ksjq_relation::TupleId;
 use ksjq_server::{
-    ClientError, Cursor, ErrorCode, LoadSource, PlanSpec, Request, Response, ResultCache, RowChunk,
-    RowSet, ServerStats, MAX_LINE_BYTES, PROTOCOL_VERSION, ROWS_PER_CHUNK,
+    leg_token, ClientError, Cursor, ErrorCode, LegSet, LoadSource, PlanSpec, Request, Response,
+    ResultCache, RowChunk, RowSet, ServerStats, MAX_LINE_BYTES, PROTOCOL_VERSION, ROWS_PER_CHUNK,
 };
 use std::collections::{HashMap, HashSet};
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -45,12 +50,11 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-/// Default `FETCH` batch size: row-id pairs per request.
-pub const DEFAULT_FETCH_BATCH: usize = 256;
-/// Default `CHECK` batch size: probe rows per request (each row is
-/// `d_joined` decimal floats, so this stays far below the 1 MiB request
-/// cap).
-pub const DEFAULT_CHECK_BATCH: usize = 64;
+/// Default `FETCH` batch size: candidate pairs per frame.
+pub const DEFAULT_FETCH_BATCH: usize = 16_384;
+/// Default `CHECK` batch size: candidate pairs per frame. Frames are also
+/// cut to fit [`MAX_LINE_BYTES`], whatever this says.
+pub const DEFAULT_CHECK_BATCH: usize = 16_384;
 
 /// Router knobs.
 #[derive(Debug, Clone)]
@@ -62,10 +66,10 @@ pub struct RouterConfig {
     /// Backend retry/backoff/timeout policy.
     pub policy: DialPolicy,
     /// Round-2 `FETCH` batch size (`--fetch-batch`): candidate pairs per
-    /// request. Larger batches mean fewer round trips but bigger frames.
+    /// frame. Larger batches mean fewer round trips but bigger frames.
     pub fetch_batch: usize,
-    /// Round-2 `CHECK` batch size (`--check-batch`): probe rows per
-    /// request.
+    /// Round-2 `CHECK` batch size (`--check-batch`): candidate pairs per
+    /// frame (each frame also fits [`MAX_LINE_BYTES`]).
     pub check_batch: usize,
     /// Decision-WAL directory (`--data-dir`): every two-phase `LOAD` /
     /// `APPEND` durably logs its begin/decision/outcome records here
@@ -1438,8 +1442,12 @@ fn run_distributed(
 /// anywhere k-dominates it. Its own shard already established that for
 /// the tuples it holds (that is what a local skyline is); every other
 /// participating shard holds the rest, checked here against the
-/// candidate's joined values. Returns the surviving pairs per shard, in
+/// candidate's legs. Returns the surviving pairs per shard, in
 /// `participating` order, each still sorted.
+///
+/// The deadline budget is recomputed before every backend frame, so a
+/// budget that runs out between frames ends the query with `ERR timeout`
+/// instead of granting each later frame the full budget again.
 #[allow(clippy::too_many_arguments)]
 fn verify_candidates(
     dialer: &mut Dialer,
@@ -1451,68 +1459,96 @@ fn verify_candidates(
     check_batch: usize,
     deadline: Option<Instant>,
 ) -> Result<Vec<Vec<(u32, u32)>>, RouterError> {
-    // Phase a: every shard materialises its own candidates' joined
-    // values (`FETCH`), batched and in parallel. Round 2 runs on
-    // whatever budget round 1 left — checked again here so an exhausted
-    // deadline turns into `ERR timeout` before any fan-out.
-    let rem = remaining_ms(deadline)?;
-    let vals: Vec<Vec<Vec<f64>>> = fan_out(dialer, participating, |sd, i| {
-        let cands = &local[i].pairs;
-        let mut rows = Vec::with_capacity(cands.len());
-        for batch in cands.chunks(fetch_batch) {
+    // Phase a: every shard ships its own candidates as legs (`FETCH`),
+    // batched and in parallel. No `FETCH` line can outgrow the cap: a
+    // pair token is at most `MAX_PAIR_TOKEN` bytes.
+    const MAX_PAIR_TOKEN: usize = "4294967295:4294967295;".len();
+    let fetch_head = Request::Fetch {
+        left: plan.left.clone(),
+        right: plan.right.clone(),
+        aggs: plan.aggs.clone(),
+        pairs: Vec::new(),
+    }
+    .to_string()
+    .len();
+    let fetch_batch = fetch_batch.min((MAX_LINE_BYTES - fetch_head) / MAX_PAIR_TOKEN);
+    let legs: Vec<LegSet> = fan_out(dialer, participating, |sd, i| {
+        let mut legs = LegSet::default();
+        for batch in local[i].pairs.chunks(fetch_batch) {
+            let rem = remaining_ms(deadline)?;
             let got = sd
                 .call(|c| {
                     c.set_deadline(rem.unwrap_or(0))?;
                     c.fetch(&plan.left, &plan.right, &plan.aggs, batch)
                 })
                 .map_err(|e| describe(sd.shard(), e))?;
-            if got.len() != batch.len() {
+            if got.pairs.len() != batch.len() || !got.indices_valid() {
                 return Err(RouterError::new(
                     ErrorCode::Internal,
                     format!(
-                        "shard {} returned {} rows for a {}-pair FETCH",
+                        "shard {} answered a {}-pair FETCH with a malformed leg set ({} pairs)",
                         sd.shard(),
-                        got.len(),
-                        batch.len()
+                        batch.len(),
+                        got.pairs.len()
                     ),
                 ));
             }
-            rows.extend(got);
+            let (lo, ro) = (legs.left.len() as u32, legs.right.len() as u32);
+            legs.pairs
+                .extend(got.pairs.iter().map(|&(u, v)| (u + lo, v + ro)));
+            legs.left.extend(got.left);
+            legs.right.extend(got.right);
         }
-        Ok(rows)
+        Ok(legs)
     })?;
 
-    // Phase b: every shard t checks every *other* shard's candidate
-    // values (`CHECK`), in parallel over t. dominated[t][s] holds one
-    // bit per candidate of shard index s (empty when s == t).
-    let rem = remaining_ms(deadline)?;
+    // Phase b: every shard t checks every *other* shard's candidates
+    // (`CHECK`), in parallel over t. Each source's frames are cut once
+    // and sent to every other shard. dominated[t][s] holds one bit per
+    // candidate of shard index s (empty when s == t).
+    let check_head = Request::Check {
+        left: plan.left.clone(),
+        right: plan.right.clone(),
+        aggs: plan.aggs.clone(),
+        k,
+        legs: LegSet::default(),
+    }
+    .to_string()
+    .len();
+    let frames: Vec<Vec<LegFrame>> = legs
+        .iter()
+        .map(|l| leg_frames(l, check_batch, MAX_LINE_BYTES - check_head))
+        .collect();
     let dominated: Vec<Vec<Vec<bool>>> = fan_out(dialer, participating, |sd, t| {
-        let mut per_source = Vec::with_capacity(vals.len());
-        for (s, rows) in vals.iter().enumerate() {
+        let mut per_source = Vec::with_capacity(frames.len());
+        for (s, source) in frames.iter().enumerate() {
             if s == t {
                 per_source.push(Vec::new());
                 continue;
             }
-            let mut bits = Vec::with_capacity(rows.len());
-            for batch in rows.chunks(check_batch) {
+            let mut bits = vec![false; legs[s].pairs.len()];
+            for frame in source {
+                let rem = remaining_ms(deadline)?;
                 let got = sd
                     .call(|c| {
                         c.set_deadline(rem.unwrap_or(0))?;
-                        c.check(&plan.left, &plan.right, &plan.aggs, k, batch)
+                        c.check(&plan.left, &plan.right, &plan.aggs, k, &frame.legs)
                     })
                     .map_err(|e| describe(sd.shard(), e))?;
-                if got.len() != batch.len() {
+                if got.len() != frame.at.len() {
                     return Err(RouterError::new(
                         ErrorCode::Internal,
                         format!(
-                            "shard {} returned {} bits for a {}-row CHECK",
+                            "shard {} returned {} bits for a {}-pair CHECK",
                             sd.shard(),
                             got.len(),
-                            batch.len()
+                            frame.at.len()
                         ),
                     ));
                 }
-                bits.extend(got);
+                for (&at, bit) in frame.at.iter().zip(got) {
+                    bits[at as usize] = bit;
+                }
             }
             per_source.push(bits);
         }
@@ -1538,4 +1574,209 @@ fn verify_candidates(
                 .collect()
         })
         .collect())
+}
+
+/// One self-contained round-2 `CHECK` frame: the legs its pairs use,
+/// re-indexed, and each pair's position in the source's candidate list.
+#[derive(Debug, Default)]
+struct LegFrame {
+    legs: LegSet,
+    at: Vec<u32>,
+}
+
+/// Decimal digits of `x`: the length of its wire token.
+fn digits(x: u32) -> usize {
+    x.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
+/// Cut `legs`' pairs into self-contained `CHECK` frames, in right-leg
+/// order (ties keep candidate order). A frame holds at most `max_pairs`
+/// pairs and only the legs they use, re-indexed in first-use order, and
+/// its ` L … R … P …` sections encode to at most `budget` bytes. The
+/// length is measured from each leg's wire token ([`leg_token`]), never
+/// estimated: `f64`'s `Display` can print 300+ digits. A pair whose
+/// legs alone overflow `budget` still gets a frame of its own.
+fn leg_frames(legs: &LegSet, max_pairs: usize, budget: usize) -> Vec<LegFrame> {
+    let ltok: Vec<usize> = legs.left.iter().map(|l| leg_token(l).len()).collect();
+    let rtok: Vec<usize> = legs.right.iter().map(|l| leg_token(l).len()).collect();
+    let mut order: Vec<u32> = (0..legs.pairs.len() as u32).collect();
+    order.sort_by_key(|&p| legs.pairs[p as usize].1);
+    // Source leg → its index in the frame being built (u32::MAX: absent).
+    let mut lmap = vec![u32::MAX; legs.left.len()];
+    let mut rmap = vec![u32::MAX; legs.right.len()];
+    // A section's bytes: 3 for " X " before its first item, then 1 per
+    // separator.
+    let sep = |n: usize| if n == 0 { 3 } else { 1 };
+    let mut frames = Vec::new();
+    let mut frame = LegFrame::default();
+    let mut bytes = 0;
+    for p in order {
+        let (i, j) = legs.pairs[p as usize];
+        let (i, j) = (i as usize, j as usize);
+        // The bytes the pair adds to `f`: the legs `f` lacks, and its
+        // own token (leg indices as they will be numbered in `f`).
+        let cost = |f: &LegFrame, lmap: &[u32], rmap: &[u32]| {
+            let (nl, nr) = (f.legs.left.len(), f.legs.right.len());
+            let (li, lnew) = match lmap[i] {
+                u32::MAX => (nl as u32, sep(nl) + ltok[i]),
+                li => (li, 0),
+            };
+            let (rj, rnew) = match rmap[j] {
+                u32::MAX => (nr as u32, sep(nr) + rtok[j]),
+                rj => (rj, 0),
+            };
+            lnew + rnew + sep(f.at.len()) + digits(li) + 1 + digits(rj)
+        };
+        let mut c = cost(&frame, &lmap, &rmap);
+        if !frame.at.is_empty() && (frame.at.len() == max_pairs || bytes + c > budget) {
+            lmap.fill(u32::MAX);
+            rmap.fill(u32::MAX);
+            frames.push(std::mem::take(&mut frame));
+            bytes = 0;
+            c = cost(&frame, &lmap, &rmap);
+        }
+        if lmap[i] == u32::MAX {
+            lmap[i] = frame.legs.left.len() as u32;
+            frame.legs.left.push(legs.left[i].clone());
+        }
+        if rmap[j] == u32::MAX {
+            rmap[j] = frame.legs.right.len() as u32;
+            frame.legs.right.push(legs.right[j].clone());
+        }
+        frame.legs.pairs.push((lmap[i], rmap[j]));
+        frame.at.push(p);
+        bytes += c;
+    }
+    if !frame.at.is_empty() {
+        frames.push(frame);
+    }
+    frames
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The encoded length of a `CHECK`'s leg sections: the whole line
+    /// minus the same line with no legs.
+    fn sections_len(legs: &LegSet) -> usize {
+        let check = |legs: LegSet| {
+            Request::Check {
+                left: "a".into(),
+                right: "b".into(),
+                aggs: Vec::new(),
+                k: 5,
+                legs,
+            }
+            .to_string()
+            .len()
+        };
+        check(legs.clone()) - check(LegSet::default())
+    }
+
+    /// A deterministic leg set: `n_left`/`n_right` legs of 3 values
+    /// (times `scale`), `n_pairs` pairs with right legs out of order.
+    fn sample(n_left: u32, n_right: u32, n_pairs: u32, scale: f64) -> LegSet {
+        let leg = |i: u32| vec![i as f64 * scale, 0.5 + i as f64, -(i as f64) / 3.0];
+        LegSet {
+            left: (0..n_left).map(leg).collect(),
+            right: (0..n_right).map(|j| leg(j + 1000)).collect(),
+            pairs: (0..n_pairs)
+                .map(|p| ((p * 7) % n_left, (p * 13 + p / 5) % n_right))
+                .collect(),
+        }
+    }
+
+    /// Every structural promise of `leg_frames`, checked by decoding the
+    /// frames back to the source's legs.
+    fn assert_frames(legs: &LegSet, frames: &[LegFrame], max_pairs: usize, budget: usize) {
+        let mut seen = Vec::new();
+        for f in frames {
+            assert!(
+                !f.at.is_empty() && f.at.len() <= max_pairs,
+                "{} pairs",
+                f.at.len()
+            );
+            assert_eq!(f.at.len(), f.legs.pairs.len());
+            if f.at.len() > 1 {
+                assert!(
+                    sections_len(&f.legs) <= budget,
+                    "{} > {budget}",
+                    sections_len(&f.legs)
+                );
+            }
+            let mut used_l = vec![false; f.legs.left.len()];
+            let mut used_r = vec![false; f.legs.right.len()];
+            for (&p, &(i, j)) in f.at.iter().zip(&f.legs.pairs) {
+                let (si, sj) = legs.pairs[p as usize];
+                assert_eq!(f.legs.left[i as usize], legs.left[si as usize]);
+                assert_eq!(f.legs.right[j as usize], legs.right[sj as usize]);
+                used_l[i as usize] = true;
+                used_r[j as usize] = true;
+                seen.push(p);
+            }
+            // Exactly the referenced legs: all used, none twice.
+            assert!(used_l.iter().chain(&used_r).all(|&u| u), "unused legs");
+            let distinct = |side: fn(&(u32, u32)) -> u32| {
+                let mut ids: Vec<u32> =
+                    f.at.iter()
+                        .map(|&p| side(&legs.pairs[p as usize]))
+                        .collect();
+                ids.sort_unstable();
+                ids.dedup();
+                ids.len()
+            };
+            assert_eq!(f.legs.left.len(), distinct(|p| p.0));
+            assert_eq!(f.legs.right.len(), distinct(|p| p.1));
+        }
+        // Every pair exactly once, in right-leg order, ties in
+        // candidate order.
+        let mut expected: Vec<u32> = (0..legs.pairs.len() as u32).collect();
+        expected.sort_by_key(|&p| legs.pairs[p as usize].1);
+        assert_eq!(seen, expected);
+    }
+
+    #[test]
+    fn frames_cover_every_pair_once_in_right_leg_order() {
+        let legs = sample(40, 30, 500, 1.0);
+        for (max_pairs, budget) in [(16_384, 1 << 20), (7, 1 << 20), (1, 1 << 20), (1000, 900)] {
+            let frames = leg_frames(&legs, max_pairs, budget);
+            assert_frames(&legs, &frames, max_pairs, budget);
+        }
+        assert_eq!(leg_frames(&legs, 16_384, 1 << 20).len(), 1);
+        assert_eq!(leg_frames(&legs, 7, 1 << 20).len(), 500usize.div_ceil(7));
+        assert!(leg_frames(&LegSet::default(), 5, 100).is_empty());
+    }
+
+    #[test]
+    fn byte_budget_is_measured_exactly() {
+        let legs = sample(25, 25, 200, 1.0);
+        let whole = sections_len(&leg_frames(&legs, usize::MAX, usize::MAX)[0].legs);
+        // A budget of exactly one frame's length keeps one frame; one
+        // byte less must split it.
+        assert_eq!(leg_frames(&legs, usize::MAX, whole).len(), 1);
+        let split = leg_frames(&legs, usize::MAX, whole - 1);
+        assert!(split.len() > 1);
+        assert_frames(&legs, &split, usize::MAX, whole - 1);
+    }
+
+    #[test]
+    fn huge_values_still_fit() {
+        // 1e300-magnitude values print as 300+ digits each.
+        let legs = sample(6, 5, 40, 1e300);
+        assert!(leg_token(&legs.left[1]).len() > 300);
+        let one = LegSet {
+            left: vec![legs.left[5].clone()],
+            right: vec![legs.right[4].clone()],
+            pairs: vec![(0, 0)],
+        };
+        let budget = sections_len(&one);
+        let frames = leg_frames(&legs, usize::MAX, budget);
+        assert_frames(&legs, &frames, usize::MAX, budget);
+        for f in &frames {
+            assert!(sections_len(&f.legs) <= budget);
+        }
+        let frames = leg_frames(&legs, 16_384, MAX_LINE_BYTES);
+        assert_eq!(frames.len(), 1);
+    }
 }

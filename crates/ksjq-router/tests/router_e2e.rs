@@ -669,3 +669,49 @@ mod invariance {
         }
     }
 }
+
+/// Round 2 re-reads the deadline before every backend frame. With one
+/// pair per `FETCH`/`CHECK` frame this query needs thousands of frames,
+/// each cheap on its own: a budget taken once per phase would let every
+/// frame run on the full budget, so the query would overrun its
+/// `DEADLINE` many times over. It must instead end in `ERR timeout`
+/// soon after the budget is spent.
+#[test]
+fn round2_deadline_is_rechecked_between_frames() {
+    let cl = cluster_config(
+        2,
+        1,
+        RouterConfig {
+            addr: "127.0.0.1:0".into(),
+            cache_entries: 0,
+            policy: fast_policy(),
+            fetch_batch: 1,
+            check_batch: 1,
+            ..RouterConfig::default()
+        },
+    );
+    let mut client = KsjqClient::connect(cl.router.addr()).unwrap();
+    let spec = |seed| SyntheticSpec {
+        data_type: DataType::Independent,
+        n: 800,
+        d: 7,
+        a: 2,
+        g: 10,
+        seed,
+    };
+    client.load_synthetic("t1", spec(42)).unwrap();
+    client.load_synthetic("t2", spec(1042)).unwrap();
+    let plan = PlanSpec::new("t1", "t2")
+        .aggs(&[AggFunc::Sum, AggFunc::Sum])
+        .k(11);
+    client.set_deadline(100).unwrap();
+    let started = std::time::Instant::now();
+    let err = client.query(&plan).unwrap_err();
+    let took = started.elapsed();
+    assert_eq!(err.code(), Some(ErrorCode::Timeout), "{err}");
+    assert!(
+        took < Duration::from_secs(1),
+        "timed out only after {took:?}"
+    );
+    client.close().unwrap();
+}

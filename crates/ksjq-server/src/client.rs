@@ -19,8 +19,8 @@
 
 use crate::faults::{FaultAction, FaultPlan, FaultStream};
 use crate::protocol::{
-    Cursor, ErrorCode, LoadSource, PlanSpec, Request, Response, RowChunk, RowSet, ServerStats,
-    SyntheticSpec, PROTOCOL_VERSION,
+    Cursor, ErrorCode, LegSet, LoadSource, PlanSpec, Request, Response, RowChunk, RowSet,
+    ServerStats, SyntheticSpec, PROTOCOL_VERSION,
 };
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Write};
@@ -585,43 +585,43 @@ impl KsjqClient {
         })
     }
 
-    /// `FETCH … PAIRS …` — joined-row values for specific result pairs,
-    /// in the server's internal normalised form.
+    /// `FETCH … PAIRS …` — specific result pairs as legs, in the
+    /// server's internal normalised form.
     pub fn fetch(
         &mut self,
         left: &str,
         right: &str,
         aggs: &[ksjq_join::AggFunc],
         pairs: &[(u32, u32)],
-    ) -> ClientResult<Vec<Vec<f64>>> {
+    ) -> ClientResult<LegSet> {
         match self.request(&Request::Fetch {
             left: left.into(),
             right: right.into(),
             aggs: aggs.to_vec(),
             pairs: pairs.to_vec(),
         })? {
-            Response::Vals(rows) => Ok(rows),
+            Response::Legs(legs) => Ok(legs),
             Response::Error { code, message } => Err(ClientError::Server { code, message }),
-            other => Err(ClientError::Protocol(format!("expected VALS, got {other}"))),
+            other => Err(ClientError::Protocol(format!("expected LEGS, got {other}"))),
         }
     }
 
-    /// `CHECK … K <k> ROWS …` — for each probe row, whether any joined
-    /// tuple held by this server k-dominates it.
+    /// `CHECK … K <k> L … R … P …` — for each candidate pair of `legs`,
+    /// whether any joined tuple held by this server k-dominates it.
     pub fn check(
         &mut self,
         left: &str,
         right: &str,
         aggs: &[ksjq_join::AggFunc],
         k: usize,
-        rows: &[Vec<f64>],
+        legs: &LegSet,
     ) -> ClientResult<Vec<bool>> {
         match self.request(&Request::Check {
             left: left.into(),
             right: right.into(),
             aggs: aggs.to_vec(),
             k,
-            rows: rows.to_vec(),
+            legs: legs.clone(),
         })? {
             Response::Checked(bits) => Ok(bits),
             Response::Error { code, message } => Err(ClientError::Server { code, message }),

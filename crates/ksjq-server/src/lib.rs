@@ -77,9 +77,9 @@ pub use demo::register_demo_catalog;
 pub use faults::{FaultAction, FaultPlan, FaultStream};
 pub use frame::{Frame, FrameBuffer};
 pub use protocol::{
-    Cursor, ErrorCode, LoadSource, PlanSpec, ProtoResult, Request, Response, RowChunk, RowSet,
-    ServerStats, SyntheticSpec, MAX_LINE_BYTES, MAX_ROWS_FRAME_BYTES, PROTOCOL_VERSION,
-    ROWS_PER_CHUNK,
+    leg_token, Cursor, ErrorCode, LegSet, LoadSource, PlanSpec, ProtoResult, Request, Response,
+    RowChunk, RowSet, ServerStats, SyntheticSpec, MAX_LINE_BYTES, MAX_ROWS_FRAME_BYTES,
+    PROTOCOL_VERSION, ROWS_PER_CHUNK,
 };
 pub use replica::{resync_if_stale, sync_catalog, sync_from};
 pub use server::{RunningServer, Server, ServerConfig, ServerHandle};

@@ -48,9 +48,17 @@
 //! COMMIT <name>                                     atomically publish a staged relation or delta
 //! ABORT <name>                                      drop a staged relation/delta, old binding stays live
 //! STAGED?                                           list names with pending staged data (in-doubt resolution)
-//! FETCH <left> JOIN <right> [AGG f,f…] PAIRS <l:r>;<l:r>…   joined values of given pairs
-//! CHECK <left> JOIN <right> [AGG f,f…] K <k> ROWS <v,v…;v,v…>  is each row k-dominated here?
+//! FETCH <left> JOIN <right> [AGG f,f…] PAIRS <l:r>;<l:r>…   the given pairs as legs
+//! CHECK <left> JOIN <right> [AGG f,f…] K <k> L <legs> R <legs> P <i:j>;…   is each pair k-dominated here?
 //! ```
+//!
+//! `FETCH` and `CHECK` ship candidate pairs as **legs** ([`LegSet`]): the
+//! distinct base tuples the pairs use, each sent once by value, plus the
+//! pairs as `<i>:<j>` indices into the left (`L`) and right (`R`) leg
+//! lists. A left leg is its `l1` local values, then its `a` aggregate
+//! inputs, in the stored normalised form (`v,v…`, legs `';'`-separated);
+//! right legs likewise with `l2`. An empty list is left out with its
+//! keyword.
 //!
 //! ## Responses
 //!
@@ -63,8 +71,8 @@
 //! STATS connections=… requests=… … cache_hits=… cache_misses=…
 //! CATALOG n=<n> epoch=<e> <name> <name> …           reply to SYNC (epoch = catalog epoch)
 //! RELATION <name> <csv>                             reply to SYNC <name> (rows ';'-separated)
-//! VALS n=<n> <v,v…;v,v…>                            reply to FETCH
-//! CHECKED n=<n> <01…>                               reply to CHECK (one bit per row)
+//! LEGS n=<pairs> L <legs> R <legs> P <i:j>;…        reply to FETCH (pairs in request order)
+//! CHECKED n=<n> <01…>                               reply to CHECK (one bit per P entry)
 //! STAGED n=<n> <name> <name> …                      reply to STAGED? (names with pending stages)
 //! ERR <code> <message>
 //! BYE
@@ -463,8 +471,8 @@ pub enum Request {
         /// on the wire.
         keys: Vec<String>,
     },
-    /// Materialise the joined values of specific `(left, right)` pairs —
-    /// the router fetches candidate rows from their owning shard.
+    /// Ship specific `(left, right)` pairs as legs — the router fetches
+    /// candidates from their owning shard. Answered by [`Response::Legs`].
     Fetch {
         /// Left catalog relation name.
         left: String,
@@ -475,9 +483,9 @@ pub enum Request {
         /// The pairs to join, as shard-local tuple ids.
         pairs: Vec<(u32, u32)>,
     },
-    /// For each probe row (a full joined-value vector, internal
-    /// normalised form), does *this* shard hold any joined tuple that
-    /// k-dominates it? The router's cross-shard verification round.
+    /// For each candidate pair of `legs`, does *this* shard hold any
+    /// joined tuple that k-dominates it? The router's cross-shard
+    /// verification round.
     Check {
         /// Left catalog relation name.
         left: String,
@@ -487,8 +495,8 @@ pub enum Request {
         aggs: Vec<AggFunc>,
         /// The `k` of the dominance test.
         k: usize,
-        /// Probe rows, each of joined arity `l1 + l2 + a`.
-        rows: Vec<Vec<f64>>,
+        /// The candidates, as legs of `l1 + a` / `l2 + a` values.
+        legs: LegSet,
     },
     /// End the session.
     Close,
@@ -594,35 +602,75 @@ fn pairs_blob(pairs: &[(u32, u32)]) -> String {
     tokens.join(";")
 }
 
-/// Parse a value-row blob: rows `';'`-separated, values `','`-separated.
-/// Every value must be a finite f64 (relations are NaN-free by
-/// construction, and `f64`'s `Display` is shortest-exact, so the blob
-/// round-trips bit-identically).
-fn parse_rows_blob(blob: &str) -> ProtoResult<Vec<Vec<f64>>> {
+/// Candidate pairs as legs: the `LEGS` reply to `FETCH` and the payload
+/// of `CHECK` (see the module docs for the layout). Parsing accepts legs
+/// of any arity and any `f64`: whoever binds the relations checks them
+/// ([`LegSet::indices_valid`], arity, finiteness). `f64`'s `Display` is
+/// shortest-exact, so finite values round-trip bit-identically.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct LegSet {
+    /// Left legs: `l1` local values, then `a` aggregate inputs.
+    pub left: Vec<Vec<f64>>,
+    /// Right legs: `l2` local values, then `a` aggregate inputs.
+    pub right: Vec<Vec<f64>>,
+    /// The candidates as `(left leg, right leg)` indices.
+    pub pairs: Vec<(u32, u32)>,
+}
+
+impl LegSet {
+    /// Does every pair name a leg that is there?
+    pub fn indices_valid(&self) -> bool {
+        self.pairs
+            .iter()
+            .all(|&(i, j)| (i as usize) < self.left.len() && (j as usize) < self.right.len())
+    }
+
+    /// Fill the `L`/`R`/`P` section `kw` from its wire `value`; `false`
+    /// when `kw` names no section.
+    fn parse_section(&mut self, kw: &str, value: &str) -> ProtoResult<bool> {
+        match kw.to_ascii_uppercase().as_str() {
+            "L" => self.left = parse_legs_blob(value)?,
+            "R" => self.right = parse_legs_blob(value)?,
+            "P" => self.pairs = parse_pairs_blob(value)?,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// Write the ` L … R … P …` sections, each left out when empty.
+    fn write_sections(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (kw, legs) in [("L", &self.left), ("R", &self.right)] {
+            if !legs.is_empty() {
+                write!(f, " {kw} ")?;
+                for (i, leg) in legs.iter().enumerate() {
+                    let sep = if i == 0 { "" } else { ";" };
+                    write!(f, "{sep}{}", leg_token(leg))?;
+                }
+            }
+        }
+        if !self.pairs.is_empty() {
+            write!(f, " P {}", pairs_blob(&self.pairs))?;
+        }
+        Ok(())
+    }
+}
+
+/// One leg's wire token: its values `','`-separated. The router sizes
+/// its `CHECK` frames by these exact lengths.
+pub fn leg_token(values: &[f64]) -> String {
+    let vals: Vec<String> = values.iter().map(f64::to_string).collect();
+    vals.join(",")
+}
+
+/// Parse a leg blob: legs `';'`-separated, values `','`-separated.
+fn parse_legs_blob(blob: &str) -> ProtoResult<Vec<Vec<f64>>> {
     blob.split(';')
-        .map(|row| {
-            row.split(',')
-                .map(|v| {
-                    let x = v.parse::<f64>().map_err(|_| format!("bad value {v:?}"))?;
-                    if !x.is_finite() {
-                        return Err(format!("non-finite value {v:?}"));
-                    }
-                    Ok(x)
-                })
+        .map(|leg| {
+            leg.split(',')
+                .map(|v| v.parse::<f64>().map_err(|_| format!("bad value {v:?}")))
                 .collect()
         })
         .collect()
-}
-
-fn rows_blob(rows: &[Vec<f64>]) -> String {
-    let tokens: Vec<String> = rows
-        .iter()
-        .map(|row| {
-            let vals: Vec<String> = row.iter().map(f64::to_string).collect();
-            vals.join(",")
-        })
-        .collect();
-    tokens.join(";")
 }
 
 /// The shared `<left> JOIN <right>` prefix of `FETCH` / `CHECK`.
@@ -961,7 +1009,7 @@ impl Request {
             "CHECK" => {
                 let (left, right, mut rest) = parse_join_names(rest)?;
                 let mut aggs = Vec::new();
-                let (mut k, mut rows) = (None, None);
+                let (mut k, mut legs) = (None, LegSet::default());
                 while !rest.is_empty() {
                     let (kw, after) = split_word(rest);
                     let (value, after) = split_word(after);
@@ -982,19 +1030,21 @@ impl Request {
                                     .map_err(|_| format!("K needs an integer, got {value:?}"))?,
                             );
                         }
-                        "ROWS" => rows = Some(parse_rows_blob(value)?),
-                        other => return Err(format!("unknown CHECK keyword {other:?}")),
+                        other => {
+                            if !legs.parse_section(other, value)? {
+                                return Err(format!("unknown CHECK keyword {other:?}"));
+                            }
+                        }
                     }
                     rest = after;
                 }
                 let k = k.ok_or("CHECK needs K <k>")?;
-                let rows = rows.ok_or("CHECK needs ROWS <v,v…;v,v…>")?;
                 Ok(Request::Check {
                     left,
                     right,
                     aggs,
                     k,
-                    rows,
+                    legs,
                 })
             }
             other => Err(format!(
@@ -1080,14 +1130,15 @@ impl fmt::Display for Request {
                 right,
                 aggs,
                 k,
-                rows,
+                legs,
             } => {
                 write!(f, "CHECK {left} JOIN {right}")?;
                 if !aggs.is_empty() {
                     let list: Vec<String> = aggs.iter().map(agg_token).collect();
                     write!(f, " AGG {}", list.join(","))?;
                 }
-                write!(f, " K {k} ROWS {}", rows_blob(rows))
+                write!(f, " K {k}")?;
+                legs.write_sections(f)
             }
             Request::Close => write!(f, "CLOSE"),
         }
@@ -1256,9 +1307,10 @@ pub enum Response {
         /// CSV text, newline row separators (`';'` on the wire).
         csv: String,
     },
-    /// Joined-value rows (reply to `FETCH`), request-pair order.
-    Vals(Vec<Vec<f64>>),
-    /// One dominance bit per probe row (reply to `CHECK`), request order.
+    /// The requested pairs as legs (reply to `FETCH`), request-pair order.
+    Legs(LegSet),
+    /// One dominance bit per candidate pair (reply to `CHECK`), request
+    /// order.
     Checked(Vec<bool>),
     /// Names with pending staged data (reply to `STAGED?`), sorted — the
     /// stage tokens a restarting router matches its decision WAL against.
@@ -1477,24 +1529,28 @@ impl Response {
                     csv: csv.replace(';', "\n"),
                 })
             }
-            "VALS" => {
-                let (count, blob) = split_word(rest);
+            "LEGS" => {
+                let (count, mut rest) = split_word(rest);
                 let n = count
                     .strip_prefix("n=")
                     .and_then(|v| v.parse::<usize>().ok())
-                    .ok_or_else(|| format!("VALS needs n=<count>, got {count:?}"))?;
-                let rows = if blob.is_empty() {
-                    Vec::new()
-                } else {
-                    parse_rows_blob(blob)?
-                };
-                if rows.len() != n {
+                    .ok_or_else(|| format!("LEGS needs n=<pairs>, got {count:?}"))?;
+                let mut legs = LegSet::default();
+                while !rest.is_empty() {
+                    let (kw, after) = split_word(rest);
+                    let (value, after) = split_word(after);
+                    if value.is_empty() || !legs.parse_section(kw, value)? {
+                        return Err(format!("unexpected LEGS token {kw:?}"));
+                    }
+                    rest = after;
+                }
+                if legs.pairs.len() != n {
                     return Err(format!(
-                        "VALS claimed n={n} but carried {} rows",
-                        rows.len()
+                        "LEGS claimed n={n} but carried {} pairs",
+                        legs.pairs.len()
                     ));
                 }
-                Ok(Response::Vals(rows))
+                Ok(Response::Legs(legs))
             }
             "CHECKED" => {
                 let (count, bits) = split_word(rest);
@@ -1625,12 +1681,9 @@ impl fmt::Display for Response {
             Response::Relation { name, csv } => {
                 write!(f, "RELATION {name} {}", csv.trim_end().replace('\n', ";"))
             }
-            Response::Vals(rows) => {
-                write!(f, "VALS n={}", rows.len())?;
-                if !rows.is_empty() {
-                    write!(f, " {}", rows_blob(rows))?;
-                }
-                Ok(())
+            Response::Legs(legs) => {
+                write!(f, "LEGS n={}", legs.pairs.len())?;
+                legs.write_sections(f)
             }
             Response::Checked(bits) => {
                 write!(f, "CHECKED n={}", bits.len())?;
@@ -2078,16 +2131,38 @@ mod tests {
             }
         );
         assert_eq!(
-            roundtrip_request("CHECK a JOIN b K 5 ROWS 1,2.5,-3;4,0.125,6"),
+            roundtrip_request("CHECK a JOIN b K 5 L 1,2.5;4,0.125 R -3,6 P 0:0;1:0"),
             Request::Check {
                 left: "a".into(),
                 right: "b".into(),
                 aggs: vec![],
                 k: 5,
-                rows: vec![vec![1.0, 2.5, -3.0], vec![4.0, 0.125, 6.0]]
+                legs: LegSet {
+                    left: vec![vec![1.0, 2.5], vec![4.0, 0.125]],
+                    right: vec![vec![-3.0, 6.0]],
+                    pairs: vec![(0, 0), (1, 0)],
+                }
             }
         );
-        roundtrip_request("CHECK a JOIN b AGG wsum(1,0.5) K 9 ROWS 0.1,0.2");
+        roundtrip_request("CHECK a JOIN b AGG wsum(1,0.5) K 9 L 0.1,0.2 R 0.3,0.4 P 0:0");
+        // No legs: every section is left out.
+        assert_eq!(
+            roundtrip_request("CHECK a JOIN b K 5"),
+            Request::Check {
+                left: "a".into(),
+                right: "b".into(),
+                aggs: vec![],
+                k: 5,
+                legs: LegSet::default(),
+            }
+        );
+        // Arity, range and finiteness are the server's to judge.
+        for semantic in [
+            "CHECK a JOIN b K 5 L 1,inf R 2 P 0:0",
+            "CHECK a JOIN b K 5 L 1 R 2,3,4 P 0:7",
+        ] {
+            assert!(Request::parse(semantic).is_ok(), "{semantic:?}");
+        }
         assert_eq!(
             roundtrip_request("APPEND t1 ROWS C,448,3;D,456,2"),
             Request::Append {
@@ -2127,23 +2202,23 @@ mod tests {
             "FETCH a JOIN b PAIRS 0",   // not l:r
             "FETCH a JOIN b PAIRS 0:x", // non-integer
             "FETCH a JOIN b WAT 3 PAIRS 0:1",
-            "CHECK a JOIN b ROWS 1,2", // missing K
-            "CHECK a JOIN b K 5",      // missing ROWS
-            "CHECK a JOIN b K five ROWS 1",
-            "CHECK a JOIN b K 5 ROWS 1,x",   // non-numeric value
-            "CHECK a JOIN b K 5 ROWS 1,inf", // non-finite value
-            "CHECK a JOIN b K 5 ROWS 1,NaN",
-            "CHECK a JOIN b K 5 ROWS 1,2;;3,4", // empty row
-            "APPEND",                           // missing name
-            "APPEND t1",                        // missing mode
-            "APPEND t1 TELEPATHY C,448",        // unknown mode
-            "APPEND t1 ROWS",                   // ROWS needs rows
-            "APPEND t1 STAGE",                  // STAGE needs rows
-            "DELETE",                           // missing name
-            "DELETE t1",                        // missing KEYS
-            "DELETE t1 KEYS",                   // KEYS needs a list
-            "DELETE t1 KEYS C,",                // empty key
-            "DELETE t1 KEYS C D",               // trailing input
+            "CHECK a JOIN b L 1,2 R 3 P 0:0", // missing K
+            "CHECK a JOIN b K five L 1 R 2 P 0:0",
+            "CHECK a JOIN b K 5 ROWS 1,2", // the retired row form
+            "CHECK a JOIN b K 5 L 1,x R 2 P 0:0", // non-numeric value
+            "CHECK a JOIN b K 5 L 1,2;;3,4 R 5", // empty leg
+            "CHECK a JOIN b K 5 L 1 R 2 P 0", // not i:j
+            "CHECK a JOIN b K 5 L 1 R 2 P", // P needs a value
+            "APPEND",                      // missing name
+            "APPEND t1",                   // missing mode
+            "APPEND t1 TELEPATHY C,448",   // unknown mode
+            "APPEND t1 ROWS",              // ROWS needs rows
+            "APPEND t1 STAGE",             // STAGE needs rows
+            "DELETE",                      // missing name
+            "DELETE t1",                   // missing KEYS
+            "DELETE t1 KEYS",              // KEYS needs a list
+            "DELETE t1 KEYS C,",           // empty key
+            "DELETE t1 KEYS C D",          // trailing input
         ] {
             assert!(Request::parse(bad).is_err(), "{bad:?} should not parse");
         }
@@ -2164,8 +2239,12 @@ mod tests {
                 name: "outbound".into(),
                 csv: "city,cost:min\nC,448\nD,456".into(),
             },
-            Response::Vals(vec![]),
-            Response::Vals(vec![vec![1.5, -2.0, 3.0], vec![0.0625, 4.0, 5.0]]),
+            Response::Legs(LegSet::default()),
+            Response::Legs(LegSet {
+                left: vec![vec![1.5, -2.0, 3.0], vec![0.0625, 4.0, 5.0]],
+                right: vec![vec![7.0, 8.0]],
+                pairs: vec![(1, 0), (0, 0)],
+            }),
             Response::Checked(vec![]),
             Response::Checked(vec![true, false, true]),
             Response::Staged { names: vec![] },
@@ -2187,27 +2266,34 @@ mod tests {
             }
         );
         for bad in [
-            "CATALOG",                // missing n=
-            "CATALOG n=2 only",       // count mismatch
-            "CATALOG n=x",            // non-integer
-            "CATALOG n=0 epoch=huge", // non-integer epoch
-            "RELATION",               // missing name
-            "RELATION name",          // missing csv
-            "VALS",                   // missing n=
-            "VALS n=1",               // count mismatch
-            "VALS n=1 1,2;3,4",       // count mismatch
-            "VALS n=1 1,zebra",       // non-numeric
-            "CHECKED",                // missing n=
-            "CHECKED n=2 1",          // count mismatch
-            "CHECKED n=1 2",          // not a bit
-            "STAGED",                 // missing n=
-            "STAGED n=2 only",        // count mismatch
+            "CATALOG",                      // missing n=
+            "CATALOG n=2 only",             // count mismatch
+            "CATALOG n=x",                  // non-integer
+            "CATALOG n=0 epoch=huge",       // non-integer epoch
+            "RELATION",                     // missing name
+            "RELATION name",                // missing csv
+            "VALS n=0",                     // the retired row form
+            "LEGS",                         // missing n=
+            "LEGS n=1",                     // count mismatch
+            "LEGS n=1 L 1,2 R 3 P 0:0;0:0", // count mismatch
+            "LEGS n=1 L 1,zebra R 3 P 0:0", // non-numeric
+            "LEGS n=0 Q 1",                 // unknown section
+            "LEGS n=0 L",                   // section without a value
+            "CHECKED",                      // missing n=
+            "CHECKED n=2 1",                // count mismatch
+            "CHECKED n=1 2",                // not a bit
+            "STAGED",                       // missing n=
+            "STAGED n=2 only",              // count mismatch
         ] {
             assert!(Response::parse(bad).is_err(), "{bad:?} should not parse");
         }
         // f64 Display is shortest-exact: values survive the wire bit-for-bit.
-        let vals = Response::Vals(vec![vec![0.1 + 0.2, 1.0 / 3.0, -1e-300, 1e300]]);
-        assert_eq!(Response::parse(&vals.to_string()).unwrap(), vals);
+        let legs = Response::Legs(LegSet {
+            left: vec![vec![0.1 + 0.2, 1.0 / 3.0]],
+            right: vec![vec![-1e-300, 1e300]],
+            pairs: vec![(0, 0)],
+        });
+        assert_eq!(Response::parse(&legs.to_string()).unwrap(), legs);
     }
 
     #[test]

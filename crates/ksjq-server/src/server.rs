@@ -58,8 +58,8 @@ use crate::durability::{self, Wal};
 use crate::faults::{FaultAction, FaultPlan, FaultStream};
 use crate::frame::{Frame, FrameBuffer};
 use crate::protocol::{
-    Cursor, ErrorCode, LoadSource, PlanSpec, ProtoResult, Request, Response, RowChunk, RowSet,
-    ServerStats, MAX_LINE_BYTES, PROTOCOL_VERSION, ROWS_PER_CHUNK,
+    Cursor, ErrorCode, LegSet, LoadSource, PlanSpec, ProtoResult, Request, Response, RowChunk,
+    RowSet, ServerStats, MAX_LINE_BYTES, PROTOCOL_VERSION, ROWS_PER_CHUNK,
 };
 use ksjq_core::{CoreError, CoreResult, Engine, Goal, KsjqOutput, PreparedQuery};
 use ksjq_relation::VersionedRelation;
@@ -1150,14 +1150,14 @@ fn handle_request(
             right,
             aggs,
             pairs,
-        } => Outcome::Frame(fetch(shared, &left, &right, &aggs, &pairs)),
+        } => Outcome::Frame(fetch(shared, &left, &right, &aggs, pairs)),
         Request::Check {
             left,
             right,
             aggs,
             k,
-            rows,
-        } => Outcome::Frame(check(shared, &left, &right, &aggs, k, &rows)),
+            legs,
+        } => Outcome::Frame(check(shared, &left, &right, &aggs, k, legs, deadline)),
         // HELLO / MORE / CLOSE / DEADLINE are served by the front end,
         // never dispatched; answering them here keeps the match total.
         Request::Hello { version } => {
@@ -2137,23 +2137,21 @@ fn join_context(
     .map_err(|e| e.to_string())
 }
 
-/// `FETCH`: materialise requested joined rows (internal normalised form)
-/// so a router can ship a candidate's values to shards that do not hold
-/// the candidate.
+/// `FETCH`: ship requested pairs as legs (internal normalised form), so
+/// a router can have shards that do not hold a candidate check it.
 fn fetch(
     shared: &Shared,
     left: &str,
     right: &str,
     aggs: &[ksjq_join::AggFunc],
-    pairs: &[(u32, u32)],
+    pairs: Vec<(u32, u32)>,
 ) -> Response {
     let cx = match join_context(shared, left, right, aggs) {
         Ok(cx) => cx,
         Err(msg) => return Response::err(ErrorCode::Invalid, msg),
     };
     let (ln, rn) = (cx.left().n(), cx.right().n());
-    let mut rows = Vec::with_capacity(pairs.len());
-    for &(u, v) in pairs {
+    for &(u, v) in &pairs {
         if u as usize >= ln || v as usize >= rn {
             return Response::err(
                 ErrorCode::Invalid,
@@ -2166,66 +2164,91 @@ fn fetch(
                 format!("pair {u}:{v} does not satisfy the join"),
             );
         }
-        rows.push(cx.joined_row(u, v));
     }
-    Response::Vals(rows)
+    let (legs, _, _) = ksjq_core::Legs::gather(&cx, pairs);
+    let split = |values: &[f64], l: usize| -> Vec<Vec<f64>> {
+        values.chunks(l + cx.a()).map(<[f64]>::to_vec).collect()
+    };
+    Response::Legs(LegSet {
+        left: split(&legs.left, cx.l1()),
+        right: split(&legs.right, cx.l2()),
+        pairs: legs.pairs,
+    })
 }
 
-/// `CHECK`: for each probe row, scan *this* shard's joined tuples for a
-/// k-dominator. Soundness of the target filter for external probes: any
-/// joined tuple `u ⋈ v` k-dominating the probe has, by attribute
-/// counting, at least `k − l2 − a` left-local positions `≤` the probe's,
-/// so its left leg survives [`ksjq_core::target_set_for_values`] and the
-/// split-side scan finds the pair. Probes equal to a resident row are
-/// safe: equal rows never k-dominate (a strict position is required).
+/// `CHECK`: is each candidate pair of `legs` k-dominated by a joined
+/// tuple of *this* shard? One call on the leg kernel
+/// ([`ksjq_core::verify_legs`]), which never needs the candidates to be
+/// resident: the target filters sweep from the legs' values, and a
+/// candidate equal to a resident joined tuple is not dominated by it (a
+/// strict position is required).
 fn check(
     shared: &Shared,
     left: &str,
     right: &str,
     aggs: &[ksjq_join::AggFunc],
     k: usize,
-    rows: &[Vec<f64>],
+    legs: LegSet,
+    deadline: Option<Instant>,
 ) -> Response {
     let cx = match join_context(shared, left, right, aggs) {
         Ok(cx) => cx,
         Err(msg) => return Response::err(ErrorCode::Invalid, msg),
     };
-    let params = match ksjq_core::validate_k(&cx, k) {
-        Ok(params) => params,
-        Err(e) => return Response::err(ErrorCode::Invalid, e.to_string()),
-    };
-    let locals = cx.left_local_attrs().to_vec();
-    let mut checker = ksjq_core::ColumnarCheck::new(&cx, k);
-    let mut scratch = ksjq_core::TargetScratch::default();
-    let mut bits = Vec::with_capacity(rows.len());
-    for row in rows {
-        if row.len() != cx.d_joined() {
-            return Response::err(
-                ErrorCode::Invalid,
-                format!(
-                    "probe row has {} values, joined arity is {}",
-                    row.len(),
-                    cx.d_joined()
-                ),
-            );
-        }
-        let targets = ksjq_core::target_set_for_values(
-            cx.left(),
-            &locals,
-            &row[..cx.l1()],
-            params.k1_pp,
-            &mut scratch,
-        );
-        bits.push(checker.dominated_via_left(&targets, row));
+    if let Err(msg) = validate_legs(&cx, &legs) {
+        return Response::err(ErrorCode::Invalid, msg);
     }
-    let counters = checker.counters();
-    shared
-        .dom_tests
-        .fetch_add(counters.dom_tests, Ordering::Relaxed);
-    shared
-        .attr_cmps
-        .fetch_add(counters.attr_cmps, Ordering::Relaxed);
-    Response::Checked(bits)
+    let legs = ksjq_core::Legs {
+        left: legs.left.concat(),
+        right: legs.right.concat(),
+        pairs: legs.pairs,
+    };
+    match ksjq_core::verify_legs(&cx, k, &legs, deadline) {
+        Ok((bits, counters)) => {
+            shared
+                .dom_tests
+                .fetch_add(counters.dom_tests, Ordering::Relaxed);
+            shared
+                .attr_cmps
+                .fetch_add(counters.attr_cmps, Ordering::Relaxed);
+            Response::Checked(bits)
+        }
+        Err(CoreError::DeadlineExceeded) => {
+            shared.timeouts.fetch_add(1, Ordering::Relaxed);
+            Response::err(ErrorCode::Timeout, CoreError::DeadlineExceeded.to_string())
+        }
+        Err(e) => Response::err(ErrorCode::Invalid, e.to_string()),
+    }
+}
+
+/// Validate wire legs against the bound join: every left leg holds
+/// `l1 + a` finite values, every right leg `l2 + a`, and every pair names
+/// legs that are there.
+fn validate_legs(cx: &ksjq_join::JoinContext<'_>, legs: &LegSet) -> Result<(), String> {
+    for (side, list, arity) in [
+        ("left", &legs.left, cx.l1() + cx.a()),
+        ("right", &legs.right, cx.l2() + cx.a()),
+    ] {
+        for (i, leg) in list.iter().enumerate() {
+            if leg.len() != arity {
+                return Err(format!(
+                    "{side} leg {i} has {} values, expected {arity}",
+                    leg.len()
+                ));
+            }
+            if let Some(x) = leg.iter().find(|x| !x.is_finite()) {
+                return Err(format!("{side} leg {i} holds non-finite value {x}"));
+            }
+        }
+    }
+    if !legs.indices_valid() {
+        return Err(format!(
+            "a pair names a leg out of range ({} left, {} right legs)",
+            legs.left.len(),
+            legs.right.len()
+        ));
+    }
+    Ok(())
 }
 
 fn explain(shared: &Shared, id: &str) -> Response {

@@ -127,6 +127,55 @@ fn paper_example_over_the_wire_matches_in_process() {
     server.stop().unwrap();
 }
 
+/// `FETCH` ships pairs as legs and `CHECK` answers one bit per pair;
+/// a leg-form `CHECK` that does not fit the bound relations is answered
+/// `ERR invalid`, and the session stays usable.
+#[test]
+fn leg_form_check_rejects_malformed_legs() {
+    let (out_csv, in_csv) = paper_csvs();
+    let server = Server::start(Engine::new(), &ephemeral()).unwrap();
+    let mut client = KsjqClient::connect(server.addr()).unwrap();
+    client.load_csv("outbound", &out_csv).unwrap();
+    client.load_csv("inbound", &in_csv).unwrap();
+
+    // Table 3's k = 7 skyline pairs, fetched back as legs: four Min
+    // attributes and no aggregates per leg. They are resident skyline
+    // members, so no joined tuple here dominates them.
+    let skyline = [(0, 2), (2, 0), (4, 4), (5, 5)];
+    let legs = client.fetch("outbound", "inbound", &[], &skyline).unwrap();
+    assert_eq!(legs.pairs.len(), skyline.len());
+    assert!(legs
+        .left
+        .iter()
+        .chain(&legs.right)
+        .all(|leg| leg.len() == 4));
+    let bits = client.check("outbound", "inbound", &[], 7, &legs).unwrap();
+    assert_eq!(bits, vec![false; skyline.len()]);
+
+    for line in [
+        // A left leg of 3 values; l1 + a = 4.
+        "CHECK outbound JOIN inbound K 7 L 1,2,3 R 1,2,3,4 P 0:0",
+        // A right leg of 5 values; l2 + a = 4.
+        "CHECK outbound JOIN inbound K 7 L 1,2,3,4 R 1,2,3,4,5 P 0:0",
+        // P names right leg 1 of 1.
+        "CHECK outbound JOIN inbound K 7 L 1,2,3,4 R 1,2,3,4 P 0:1",
+        // Non-finite values.
+        "CHECK outbound JOIN inbound K 7 L 1,2,inf,4 R 1,2,3,4 P 0:0",
+        "CHECK outbound JOIN inbound K 7 L 1,2,3,4 R NaN,2,3,4 P 0:0",
+        // An unknown relation.
+        "CHECK outbound JOIN nowhere K 7 L 1,2,3,4 R 1,2,3,4 P 0:0",
+    ] {
+        let reply = client.raw(line).unwrap();
+        assert!(reply.starts_with("ERR invalid"), "{line:?} -> {reply:?}");
+    }
+    assert_eq!(
+        client.check("outbound", "inbound", &[], 7, &legs).unwrap(),
+        bits
+    );
+    client.close().unwrap();
+    server.stop().unwrap();
+}
+
 #[test]
 fn every_goal_and_algorithm_agree_over_the_wire() {
     let (out_csv, in_csv) = paper_csvs();

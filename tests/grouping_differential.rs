@@ -9,9 +9,14 @@
 //! byte-identical to the oracle's at 1, 2 and 3 threads and in
 //! progressive mode, and the kernel counters must not depend on the
 //! thread count.
+//!
+//! The same kernel verifies *foreign* candidates — legs of another
+//! shard's relations — for the distributed `CHECK`; those verdicts are
+//! compared with a brute-force scan of every local joined tuple.
 
-use ksjq::core::{k_max, k_min};
+use ksjq::core::{k_max, k_min, verify_legs, Legs};
 use ksjq::prelude::*;
+use ksjq::relation::k_dominates;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -226,4 +231,53 @@ fn disjoint_groups_match_naive() {
     );
     let cx = JoinContext::new(&r1, &r2, JoinSpec::Equality, &aggs(1)).unwrap();
     assert_eq!(check(&cx, "disjoint groups"), 0);
+}
+
+/// The distributed `CHECK` path: legs from a second, foreign relation
+/// pair with the same schema are verified against the local join, and
+/// every verdict must equal a brute-force `k_dominates` scan over all
+/// local joined tuples. Local skyline members, probed as legs, equal a
+/// resident joined tuple and must never count as dominated.
+#[test]
+fn foreign_probe_legs_match_brute_force() {
+    let (mut dominated, mut probed) = (0, 0);
+    for a in 0..=2 {
+        for (variant, shape) in variants(a, Keys::Groups(0, 4), 24) {
+            let seed = 101 + 10 * a as u64;
+            let local = (relation(seed, shape), relation(seed + 1, shape));
+            let foreign = (relation(seed + 2, shape), relation(seed + 3, shape));
+            let cx = JoinContext::new(&local.0, &local.1, JoinSpec::Equality, &aggs(a)).unwrap();
+            let fx =
+                JoinContext::new(&foreign.0, &foreign.1, JoinSpec::Equality, &aggs(a)).unwrap();
+            let resident = cx.materialize();
+            let mut fpairs = Vec::new();
+            fx.for_each_pair(|u, v| fpairs.push((u, v)));
+            let (probes, _, _) = Legs::gather(&fx, fpairs.clone());
+            for k in k_min(&cx)..=k_max(&cx) {
+                let label = format!("a={a} {variant} k={k}");
+                let (bits, _) = verify_legs(&cx, k, &probes, None).unwrap();
+                for (&(u, v), &bit) in fpairs.iter().zip(&bits) {
+                    let cand = fx.joined_row(u, v);
+                    let expect = (0..resident.n()).any(|i| k_dominates(resident.row(i), &cand, k));
+                    assert_eq!(bit, expect, "{label} foreign {u}:{v}");
+                    dominated += bit as usize;
+                    probed += 1;
+                }
+
+                let skyline: Vec<(u32, u32)> = ksjq_naive(&cx, k, &Config::default())
+                    .unwrap()
+                    .pairs
+                    .iter()
+                    .map(|&(u, v)| (u.0, v.0))
+                    .collect();
+                let (own, _, _) = Legs::gather(&cx, skyline);
+                let (bits, _) = verify_legs(&cx, k, &own, None).unwrap();
+                assert!(bits.iter().all(|&b| !b), "{label}: a resident skyline pair");
+            }
+        }
+    }
+    assert!(
+        0 < dominated && dominated < probed,
+        "{dominated} of {probed} foreign probes dominated: the verdicts never vary"
+    );
 }
