@@ -93,8 +93,8 @@ pub use plan::{Goal, QueryPlan, RelationRef};
 pub use query::{k_range, Algorithm};
 pub use stats::{Counts, ExecStats, PhaseTimes};
 pub use target::{
-    attr_sums, order_by_attr_sum, precompute_target_sets, target_set, target_set_for_values,
-    target_set_rowmajor, TargetCache, TargetScratch,
+    attr_sums, order_by_attr_sum, precompute_target_sets, target_set, target_set_rowmajor,
+    TargetCache, TargetScratch,
 };
 pub use verify::{verify_candidates, verify_legs, CheckCounters, ColumnarCheck, JoinedCheck, Legs};
 

@@ -15,15 +15,25 @@
 //!   candidate.
 //! * An old pair in the cache had no dominator at `E`; at `E+1` it can
 //!   only be k-dominated by a joined tuple with at least one **new**
-//!   leg. In an equality join every such tuple's left leg is either a
-//!   new left row or an old left row whose group gained a new *right*
-//!   row, so re-checking the cached pair against the target-filtered
-//!   members of that (delta-sized) leg set via the existing
-//!   [`ColumnarCheck`] is a complete test — and costs `O(|Δ|)` per
-//!   cached pair instead of a full target-set scan of the left relation.
+//!   leg. In an equality join every such tuple's left leg is a
+//!   *dominator leg*: a new left row, or an old left row whose group
+//!   gained a new right row.
 //! * A new pair (at least one new leg) is an ordinary candidate: it
-//!   survives iff no joined tuple k-dominates it, verified with
-//!   [`target_set_for_values`] + [`ColumnarCheck::dominated_via_left`].
+//!   survives iff no joined tuple k-dominates it.
+//!
+//! Both checks run on the leg kernel of [`crate::verify`], the one that
+//! verifies grouping's candidates and the distributed `CHECK`. New pairs
+//! are its candidates as they are: all new pairs of a new left row share
+//! that row as their left leg, so its `τ(u′)` is built once, and a right
+//! leg with only a few candidates is checked against its targets'
+//! partners directly, without a sweep of the right relation. Cached
+//! pairs go through the same loop with `τ(u′)` restricted to the
+//! dominator legs, built once per distinct cached left leg; a cached pair
+//! whose restricted `τ(u′)` is empty is kept unread. The cost of that
+//! recheck follows the dominator legs and their partners: for a
+//! left-side append they are the delta rows, but a right-side append
+//! makes every old left row of an affected group a dominator leg, and
+//! their partners include the group's old right rows.
 //!
 //! Deletes are *not* maintained incrementally: removing a row shifts the
 //! ids of every later row and can resurrect previously dominated pairs,
@@ -34,8 +44,7 @@ use crate::error::{CoreError, CoreResult};
 use crate::output::{finish, KsjqOutput};
 use crate::params::validate_k;
 use crate::stats::ExecStats;
-use crate::target::{attr_sums, order_by_attr_sum, target_set_for_values, TargetScratch};
-use crate::verify::{CheckCounters, ColumnarCheck};
+use crate::verify::{check_pairs, CheckCounters};
 use ksjq_join::{JoinContext, JoinSpec};
 use ksjq_relation::TupleId;
 use std::collections::HashSet;
@@ -47,7 +56,8 @@ pub struct MaintainStats {
     /// New-leg join pairs verified as skyline candidates.
     pub candidates_checked: usize,
     /// Cached pairs re-verified against new-leg dominators (cached pairs
-    /// whose filtered target set was empty are kept without a check).
+    /// whose target set restricted to the dominator legs was empty are
+    /// kept without a check).
     pub cached_rechecked: usize,
     /// Cached pairs evicted because a new-leg joined tuple k-dominates
     /// them.
@@ -118,12 +128,10 @@ pub fn maintain_append(
     // Left legs that can head a *new* joined tuple: every new left row,
     // plus every old left row whose group gained a new right row (its
     // pairs with old right rows all existed at epoch `E`, so the cached
-    // result already survived them). Rechecking a cached pair only needs
-    // the target-filter members of this delta-sized set — not a full
-    // target-set scan of the left relation per pair.
+    // result already survived them).
     let mut right_affected: HashSet<u64> = HashSet::new();
     for v in old_right_n..right.n() {
-        if let Some(g) = right.group_id(ksjq_relation::TupleId(v as u32)) {
+        if let Some(g) = right.group_id(TupleId(v as u32)) {
             right_affected.insert(g);
         }
     }
@@ -131,7 +139,7 @@ pub fn maintain_append(
     if !right_affected.is_empty() {
         for t in 0..old_left_n as u32 {
             if left
-                .group_id(ksjq_relation::TupleId(t))
+                .group_id(TupleId(t))
                 .is_some_and(|g| right_affected.contains(&g))
             {
                 dominator_legs.push(t);
@@ -139,68 +147,63 @@ pub fn maintain_append(
         }
     }
 
-    let locals = cx.left_local_attrs();
-    let scores = attr_sums(left);
-    let mut checker = ColumnarCheck::new(cx, k);
-    let mut scratch = TargetScratch::default();
-    let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(cached.len() + candidates.len());
+    // New-leg candidates, checked against the whole joined relation.
+    let mut inserted = Vec::new();
+    let (mut counters, _) = check_pairs(
+        cx,
+        &params,
+        &candidates,
+        None,
+        1,
+        None,
+        |u, v, dominated| {
+            if !dominated {
+                inserted.push((u, v));
+            }
+        },
+    )?;
+    stats.candidates_checked = candidates.len();
+    stats.inserted = inserted.len();
 
-    // Re-verify cached pairs against new-leg dominators only. The filter
-    // below is the target-set membership test of `target_set_for_values`
-    // (probe position `i` holds the joined row's `locals[i]` value)
-    // restricted to the dominator legs, whose local values are gathered
-    // once here. Only the left locals (`row[..l1]`) feed the filter; the
-    // rest of the joined row is filled for the pairs it keeps.
-    let l1 = locals.len();
-    let leg_locals: Vec<f64> = dominator_legs
-        .iter()
-        .flat_map(|&t| locals.iter().map(move |&attr| left.value(TupleId(t), attr)))
-        .collect();
-    let mut row = vec![0.0; cx.d_joined()];
-    for &(u, v) in &cached.pairs {
-        if dominator_legs.is_empty() {
-            pairs.push((u.0, v.0));
-            continue;
-        }
-        cx.fill_left(u.0, &mut row);
-        let mut targets: Vec<u32> = dominator_legs
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| {
-                let leg = &leg_locals[i * l1..(i + 1) * l1];
-                let le = leg.iter().zip(&row[..l1]).filter(|(x, y)| x <= y).count();
-                le >= params.k1_pp
-            })
-            .map(|(_, &t)| t)
-            .collect();
-        if targets.is_empty() {
-            pairs.push((u.0, v.0));
-            continue;
-        }
-        cx.fill_rest(u.0, v.0, &mut row);
-        order_by_attr_sum(&mut targets, &scores);
-        stats.cached_rechecked += 1;
-        if checker.dominated_via_left(&targets, &row) {
-            stats.cached_evicted += 1;
-        } else {
-            pairs.push((u.0, v.0));
+    // Cached pairs, rechecked against new-leg dominators only; the
+    // survivors keep their cached (ascending) order.
+    let mut kept: Vec<(u32, u32)> = cached.pairs.iter().map(|&(u, v)| (u.0, v.0)).collect();
+    if !dominator_legs.is_empty() {
+        let mut evicted = Vec::new();
+        let (recheck, targeted) = check_pairs(
+            cx,
+            &params,
+            &kept,
+            Some(&dominator_legs),
+            1,
+            None,
+            |u, v, dominated| {
+                if dominated {
+                    evicted.push((u, v));
+                }
+            },
+        )?;
+        counters.absorb(recheck);
+        stats.cached_rechecked = targeted;
+        stats.cached_evicted = evicted.len();
+        if !evicted.is_empty() {
+            evicted.sort_unstable();
+            kept.retain(|p| evicted.binary_search(p).is_err());
         }
     }
-
-    // Verify each new-leg candidate against the full joined relation.
-    for &(u, v) in &candidates {
-        cx.fill(u, v, &mut row);
-        let mut targets =
-            target_set_for_values(left, locals, &row[..l1], params.k1_pp, &mut scratch);
-        order_by_attr_sum(&mut targets, &scores);
-        stats.candidates_checked += 1;
-        if !checker.dominated_via_left(&targets, &row) {
-            pairs.push((u, v));
-            stats.inserted += 1;
+    // One merge of two ascending runs, so `finish` gets sorted input.
+    inserted.sort_unstable();
+    let mut pairs = Vec::with_capacity(kept.len() + inserted.len());
+    let mut new = inserted.into_iter().peekable();
+    for p in kept {
+        while let Some(q) = new.next_if(|q| *q < p) {
+            pairs.push(q);
         }
+        pairs.push(p);
     }
+    pairs.extend(new);
 
-    stats.counters = checker.counters();
+    stats.counters = counters;
     let mut exec = ExecStats::default();
     exec.counts.dom_tests = stats.counters.dom_tests;
     exec.counts.attr_cmps = stats.counters.attr_cmps;

@@ -54,17 +54,17 @@ pub struct Counts {
     /// aggregates — the only pairs charged the aggregate positions.
     pub dom_tests: u64,
     /// Attribute positions compared by the verification kernel. On the
-    /// grouping path: `n·l` per target-set sweep (one per distinct left
-    /// leg over the left relation, one per distinct right leg over the
-    /// right relation) plus `a` per dominance test. Each sweep runs once
-    /// per execution whatever the thread count.
+    /// grouping path: `n1·l1` per distinct left leg (its `τ(u′)` sweep),
+    /// `l2` per right position counted against a distinct right leg (at
+    /// most one sweep of the right relation per leg: buckets are counted
+    /// on demand), plus `a` per dominance test. Each count runs once per
+    /// execution whatever the thread count.
     pub attr_cmps: u64,
     /// Target legs pruned from the dominator scans. On the grouping path,
     /// per verified candidate `(u′, v′)`: the tuples outside `τ(u′)` (or
-    /// joining nothing) plus those outside `τ(v′)`, plus every left
-    /// target the prescan abandoned because its partner bucket held no
-    /// member that could reach `k`. Counted per candidate, so the value
-    /// is thread-count invariant.
+    /// joining nothing), plus every left target the prescan skipped
+    /// because its partner bucket held no partner that could reach `k`.
+    /// Counted per candidate, so the value is thread-count invariant.
     pub targets_pruned: u64,
 }
 

@@ -27,9 +27,13 @@
 //! also used by `ksjq-skyline`'s [`sfs`](ksjq_skyline::sfs) module): the
 //! sum of normalised attributes is a monotone score, so legs of actual
 //! dominators cluster at the front and the verifiers' `any`-shaped scans
-//! exit early. Membership is unchanged — only the iteration order. The
-//! grouping algorithm's leg kernel (`crate::verify`) builds its target
-//! sets from the same columnar sweep, keeping each member's counts.
+//! exit early. Membership is unchanged — only the iteration order.
+//!
+//! The leg kernel (`crate::verify`) — grouping, the distributed `CHECK`
+//! and incremental maintenance — builds its target sets from the same
+//! columnar sweep (`local_counts`), keeping each member's counts. Its
+//! probes are leg values that need not be tuples of the relation, and
+//! its sweeps may run over a gathered subset of the relation's rows.
 
 use crate::classify::Category;
 use ksjq_relation::{dom_counts_partial_block_columnar_into, Relation, TupleId};
@@ -81,16 +85,17 @@ pub struct TargetScratch {
 }
 
 impl TargetScratch {
-    /// The columnar sweep behind every target set: the local `≤`/`<`
-    /// counts of **every** tuple of `rel` against the probe values in
-    /// `self.probe` (in `locals` order), indexed by tuple id. With no
-    /// local attributes every count is 0, so a `k_pp = 0` filter keeps
-    /// the whole relation and any other keeps nothing.
-    fn sweep(&mut self, rel: &Relation, locals: &[usize]) -> (&[u32], &[u32]) {
+    /// The columnar sweep behind every target set: the `≤`/`<` counts
+    /// of **every** row of the attribute-major `cols` (`n` rows, column
+    /// `attr` at `cols[attr·n..(attr + 1)·n]`) against the probe values
+    /// in `self.probe` (in `attrs` order), indexed by row. With no
+    /// attributes every count is 0, so a `k_pp = 0` filter keeps every
+    /// row and any other keeps nothing.
+    fn sweep(&mut self, cols: &[f64], n: usize, attrs: &[usize]) -> (&[u32], &[u32]) {
         dom_counts_partial_block_columnar_into(
-            rel.columns(),
-            rel.n(),
-            locals,
+            cols,
+            n,
+            attrs,
             &self.probe,
             &mut self.le,
             &mut self.lt,
@@ -119,39 +124,24 @@ pub fn target_set_with(
     scratch
         .probe
         .extend(locals.iter().map(|&attr| rel.value(TupleId(x_prime), attr)));
-    at_least(scratch.sweep(rel, locals).0, k_pp)
+    at_least(scratch.sweep(rel.columns(), rel.n(), locals).0, k_pp)
 }
 
-/// [`TargetScratch`]'s sweep against probe values (in `locals` order)
-/// that need not be a tuple of `rel`. The leg kernel (`crate::verify`)
-/// keeps the counts of the members it selects.
+/// [`TargetScratch`]'s sweep of attribute-major `cols` (`n` rows) against
+/// probe values (in `attrs` order) that need not be one of its rows. The
+/// leg kernel (`crate::verify`) keeps the counts of the members it
+/// selects.
 pub(crate) fn local_counts<'s>(
-    rel: &Relation,
-    locals: &[usize],
+    cols: &[f64],
+    n: usize,
+    attrs: &[usize],
     probe: &[f64],
     scratch: &'s mut TargetScratch,
 ) -> (&'s [u32], &'s [u32]) {
-    debug_assert_eq!(probe.len(), locals.len());
+    debug_assert_eq!(probe.len(), attrs.len());
     scratch.probe.clear();
     scratch.probe.extend_from_slice(probe);
-    scratch.sweep(rel, locals)
-}
-
-/// [`target_set_with`] against an **external** probe: the candidate's
-/// local values are supplied directly (in `locals` order) instead of
-/// read from a row of `rel`. Incremental maintenance probes with joined
-/// rows that are not (yet) tuples of `rel`. By the same attribute
-/// counting as [`target_set`], any joined tuple that k-dominates the
-/// candidate has its left leg in the returned set, so scanning it (via
-/// `ColumnarCheck::dominated_via_left`) is a complete dominance test.
-pub fn target_set_for_values(
-    rel: &Relation,
-    locals: &[usize],
-    probe: &[f64],
-    k_pp: usize,
-    scratch: &mut TargetScratch,
-) -> Vec<u32> {
-    at_least(local_counts(rel, locals, probe, scratch).0, k_pp)
+    scratch.sweep(cols, n, attrs)
 }
 
 /// The scalar row-major reference for [`target_set`]: the relation's
@@ -455,10 +445,12 @@ mod tests {
         }
     }
 
-    /// Supplying a resident row's local values externally must select
-    /// exactly what [`target_set`] selects for that row.
+    /// The kernel's sweep against external probe values must count what
+    /// the row-major oracle counts: a resident row's values select what
+    /// [`target_set`] selects for that row, and foreign values (no row
+    /// equals them) filter by the same counting rule.
     #[test]
-    fn values_variant_matches_resident_probe() {
+    fn local_counts_match_resident_and_foreign_probes() {
         let rows: Vec<Vec<f64>> = (0..60)
             .map(|i| {
                 vec![
@@ -471,21 +463,24 @@ mod tests {
         let r = rel(&rows);
         let locals: Vec<usize> = r.schema().local_indices().collect();
         let mut scratch = TargetScratch::default();
+        let mut selected = |probe: &[f64], k_pp: usize| {
+            at_least(
+                local_counts(r.columns(), r.n(), &locals, probe, &mut scratch).0,
+                k_pp,
+            )
+        };
         for probe in [0u32, 23, 59] {
             let prow: Vec<f64> = locals.iter().map(|&a| r.value(TupleId(probe), a)).collect();
             for k_pp in 0..=3 {
                 assert_eq!(
-                    target_set_for_values(&r, &locals, &prow, k_pp, &mut scratch),
+                    selected(&prow, k_pp),
                     target_set(&r, &locals, probe, k_pp),
                     "probe {probe} k_pp {k_pp}"
                 );
             }
         }
-        // Foreign values (no resident row equals them) still filter by
-        // the same counting rule, against the row-major oracle.
         let foreign = vec![3.5, 10.5, 2.5];
         for k_pp in 0..=3 {
-            let got = target_set_for_values(&r, &locals, &foreign, k_pp, &mut scratch);
             let want: Vec<u32> = (0..r.n() as u32)
                 .filter(|&t| {
                     let le = locals
@@ -496,7 +491,7 @@ mod tests {
                     le >= k_pp
                 })
                 .collect();
-            assert_eq!(got, want, "k_pp {k_pp}");
+            assert_eq!(selected(&foreign, k_pp), want, "k_pp {k_pp}");
         }
     }
 

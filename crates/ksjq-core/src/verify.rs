@@ -1,5 +1,5 @@
 //! Candidate verification: the two-sided leg kernel of the grouping
-//! algorithm and the distributed `CHECK`, plus the row-probe verifiers.
+//! algorithm, the distributed `CHECK` and incremental maintenance.
 //!
 //! A candidate joined tuple `t′ = u′ ⋈ v′` survives iff no joined tuple
 //! k-dominates it: no `t = u ⋈ v` is `≤` `t′` on at least `k` of the
@@ -27,32 +27,63 @@
 //!
 //! Candidates are verified as pairs of legs given by value ([`Legs`]:
 //! each distinct base tuple once, its local values then its aggregate
-//! inputs), grouped by their right leg `v′`. For each distinct `v′` the
-//! kernel runs the same columnar sweep as
-//! [`crate::target::target_set_with`] **once**, keeping every member of
-//! `τ(v′)` with its right-local `≤`/`<` counts (8 bytes a member). The
-//! members are bucketed by partner span — one bucket per right group for
-//! equality joins, a single bucket for theta and Cartesian joins — and
-//! each bucket is sorted by `≤` count, descending. Every candidate left
-//! leg's `τ(u′)` is built once per execution the same way, in ascending
-//! attribute-sum order (SFS presorting: likely dominators come first, so
-//! dominated candidates exit early), with left tuples that join nothing
-//! dropped.
+//! inputs), grouped by their right leg `v′`. Every candidate left leg's
+//! `τ(u′)` is built **once** per call by the columnar sweep of
+//! [`crate::target`], keeping each member's left-local `≤`/`<` counts
+//! (8 bytes a member), in ascending attribute-sum order (SFS presorting:
+//! likely dominators come first, so dominated candidates exit early),
+//! with left tuples that join nothing dropped. `τ(u′)` may be restricted
+//! to a universe of left tuples (every left tuple by default):
+//! incremental maintenance rechecks a cached pair only against the left
+//! legs of joined tuples that are new.
 //!
 //! The candidate's aggregates come from [`JoinContext::combine_slot`]
 //! over the two legs' aggregate inputs. Checking `(u′, v′)` walks
-//! `u ∈ τ(u′)`. An O(1) per-left-tuple slot
-//! names the bucket of `u`'s partners. With `need = k − a − le(u)` the
-//! scan stops at the first bucket member whose `≤` count is below
-//! `need`: even perfect aggregates could not lift it, or anything after
-//! it, to `k`. Most targets fail on the bucket's first member, so a
-//! branch-free prescan over blocks of targets picks out the few worth
-//! scanning. Theta joins additionally skip members outside `u`'s partner
-//! span. Only members that pass are charged the `a` aggregate positions
-//! (from aggregate columns gathered once per call), and the verdict uses
-//! the exact merged counts, so results are byte-identical to the naive
-//! algorithm — the facade's differential suite checks this across join
-//! kinds, `a`, ties and thread counts.
+//! `u ∈ τ(u′)` and looks for a partner `v` of `u` whose joined tuple
+//! k-dominates the candidate. With `need = k − a − le(u)`, only partners
+//! `≤` `v′` on at least `need` right locals can (even perfect aggregates
+//! could not lift the others to `k`); only those are charged the `a`
+//! aggregate positions, from aggregate columns gathered once per call,
+//! and the verdict uses the exact merged counts. Results are therefore
+//! byte-identical to the naive algorithm — the facade's differential
+//! suite checks this across join kinds, `a`, ties and thread counts.
+//!
+//! The partners' right-local `≤`/`<` counts against `v′` are taken one
+//! bucket at a time — one bucket per right group for equality joins, a
+//! single bucket for theta and Cartesian joins — by stride-1 sweeps over
+//! the right locals gathered in scan order, when a target first needs
+//! the bucket. Only buckets holding partners of the universe are ever
+//! counted. An O(1) per-left-tuple slot names the bucket of `u`'s
+//! partners, and a bucket's highest `≤` count, kept when it is counted,
+//! rules out every target whose bucket cannot reach `need`; most targets
+//! are ruled out. A live target is scanned one of two ways:
+//!
+//! * **Directly**, while the leg is not loaded: targets are taken one at
+//!   a time, and a live target's partner span is read position by
+//!   position (a branch-free prescan over blocks of the span finds the
+//!   few positions that reach `need`).
+//! * **Bucketed**, once `τ(v′)` is loaded: every relevant bucket is
+//!   counted and its members reaching `k″2` are kept, by `≤` count
+//!   descending (a counting sort). A branch-free prescan over blocks of
+//!   targets picks out the live ones, and each scan stops at the first
+//!   member below `need`. Theta joins additionally skip members outside
+//!   `u`'s partner span.
+//!
+//! # On-demand loading
+//!
+//! A right leg starts unloaded. Its live targets are scanned directly
+//! until the next partner span would take the leg's direct work — `l2`
+//! comparisons per partner position read — past the cost of one sweep
+//! of the relevant buckets (`l2` comparisons per position, `n2·l2` when
+//! every right tuple can partner the universe). Then `τ(v′)` is loaded,
+//! reusing the buckets already counted, and every later target of the
+//! leg is scanned bucketed, from that target on. A leg with few
+//! candidates whose targets have few live partners (a one-row append, a
+//! cached pair with one new dominator leg) is never loaded; a leg shared
+//! by many candidates is, after at most one sweep's worth of direct
+//! reads. The switch point depends only on the leg's own candidates, and
+//! a leg never spans two workers, so verdicts and counters are the same
+//! at every thread count.
 //!
 //! Nothing in the kernel needs a leg to be a tuple of the relations it
 //! is checked against: the sweeps start from the leg's values, and a
@@ -60,15 +91,13 @@
 //! verdict needs a strict position). So the distributed `CHECK` verifies
 //! another shard's candidates with the same kernel ([`verify_legs`]);
 //! grouping reaches it through [`verify_candidates`], which gathers its
-//! own candidates' legs first ([`Legs::gather`]).
+//! own candidates' legs first ([`Legs::gather`]), and incremental
+//! maintenance through the same path with a restricted universe.
 //!
-//! # Row probes
-//!
-//! Only incremental maintenance still probes one joined row at a time,
-//! with [`ColumnarCheck::dominated_via_left`] over `τ(u′) ⋈ R2`. The
-//! dominator-based algorithm keeps [`ColumnarCheck::dominated_via_both`],
-//! an independent kernel the benchmark uses as its correctness reference.
-//! [`JoinedCheck`] is the scalar row-major oracle of both.
+//! The dominator-based algorithm keeps its own verifier,
+//! [`ColumnarCheck::dominated_via_both`], an independent kernel the
+//! benchmark uses as its correctness reference; [`JoinedCheck`] is the
+//! scalar row-major oracle the tests hold both kernels against.
 
 use crate::cancel::Checkpoint;
 use crate::error::CoreResult;
@@ -78,7 +107,7 @@ use ksjq_join::{JoinContext, JoinSpec};
 use ksjq_relation::{
     accumulate_le_lt, dom_counts, dom_counts_partial, DomCounts, Relation, TupleId,
 };
-use std::cmp::Reverse;
+use std::borrow::Cow;
 use std::ops::Range;
 use std::time::Instant;
 
@@ -196,18 +225,23 @@ fn gather_side(
 /// for every left leg. Built once per call and shared by its workers.
 pub(crate) struct LegIndex<'b, 'a> {
     cx: &'b JoinContext<'a>,
-    legs: &'b Legs,
+    /// The legs' values, laid out as in [`Legs`].
+    left_legs: &'b [f64],
+    right_legs: &'b [f64],
     k: usize,
     k2_pp: usize,
-    /// Right scan position → bucket (the right group for equality joins,
-    /// 0 otherwise). Non-decreasing: buckets are contiguous in scan order.
-    pos_bucket: Vec<u32>,
-    buckets: usize,
+    /// `bucket_pos[b]..bucket_pos[b + 1]` are bucket `b`'s right scan
+    /// positions (the right group for equality joins; theta and Cartesian
+    /// joins have one bucket).
+    bucket_pos: Vec<u32>,
     /// Left tuple → the bucket holding its partners, or [`NO_BUCKET`].
     slot: Vec<u32>,
     /// Left tuple → its partner span in right scan positions. Theta joins
     /// only: their spans cut through the single bucket.
     span: Vec<(u32, u32)>,
+    /// Buckets holding partners of the universe: the only ones a target
+    /// can reach, so the only ones `τ(v′)` is loaded over.
+    relevant: Vec<bool>,
     /// Left leg `u′` → the range of `τ(u′)` within `members`.
     left: Vec<(u32, u32)>,
     members: Vec<Member>,
@@ -216,17 +250,26 @@ pub(crate) struct LegIndex<'b, 'a> {
     /// scan position `p`.
     lagg: Vec<f64>,
     ragg: Vec<f64>,
+    /// The right local values in scan order, attribute-major: local `j`
+    /// of the tuple at scan position `p` is `rcols[j·n2 + p]`, so every
+    /// bucket is a contiguous stretch of each column.
+    rcols: Vec<f64>,
+    /// The cost of one sweep: `l2` comparisons per position of the
+    /// relevant buckets.
+    sweep_cost: u64,
 }
 
 impl<'b, 'a> LegIndex<'b, 'a> {
-    /// Lay out `cx`'s buckets and build `τ(u′)` for every left leg of
-    /// `legs`, sharding the sweeps over `threads` workers. Returns the
-    /// sweeps' comparison count alongside (deterministic: each leg is
-    /// swept exactly once whatever the thread count).
+    /// Lay out `cx`'s buckets and build `τ(u′)` for every left leg,
+    /// drawn from `universe` (every left tuple when `None`), sharding the
+    /// sweeps over `threads` workers. Returns the sweeps' comparison
+    /// count alongside (deterministic: each leg is swept exactly once
+    /// whatever the thread count).
     fn build(
         cx: &'b JoinContext<'a>,
         params: &KsjqParams,
-        legs: &'b Legs,
+        (left_legs, right_legs): (&'b [f64], &'b [f64]),
+        universe: Option<&[u32]>,
         threads: usize,
         deadline: Option<Instant>,
     ) -> CoreResult<(Self, CheckCounters)> {
@@ -235,17 +278,15 @@ impl<'b, 'a> LegIndex<'b, 'a> {
         debug_assert!(params.l1.max(params.l2) <= u16::MAX as usize);
         let (left, right) = (cx.left(), cx.right());
         let (n1, n2) = (left.n(), right.n());
-        let (pos_bucket, buckets) = match cx.spec() {
-            JoinSpec::Equality => {
-                let groups = right.group_index().expect("validated equality join");
-                let mut pos_bucket = Vec::with_capacity(n2);
-                for (b, (_, members)) in groups.iter().enumerate() {
-                    pos_bucket.extend(std::iter::repeat_n(b as u32, members.len()));
-                }
-                (pos_bucket, groups.group_count())
+        let mut bucket_pos = vec![0u32];
+        if let JoinSpec::Equality = cx.spec() {
+            let groups = right.group_index().expect("validated equality join");
+            for (_, members) in groups.iter() {
+                bucket_pos.push(bucket_pos[bucket_pos.len() - 1] + members.len() as u32);
             }
-            _ => (vec![0; n2], 1),
-        };
+        } else {
+            bucket_pos.push(n2 as u32);
+        }
         let theta = matches!(cx.spec(), JoinSpec::Theta(_));
         let mut slot = Vec::with_capacity(n1);
         let mut span = Vec::new();
@@ -254,36 +295,76 @@ impl<'b, 'a> LegIndex<'b, 'a> {
             slot.push(if s.is_empty() {
                 NO_BUCKET
             } else {
-                pos_bucket[s.start]
+                // The bucket whose positions contain the span's start.
+                bucket_pos.partition_point(|&p| p as usize <= s.start) as u32 - 1
             });
             if theta {
                 span.push((s.start as u32, s.end as u32));
             }
         }
 
+        // The left tuples τ(u′) draws from. A restricted universe keeps
+        // its partnered members, ascending, swept from their own gathered
+        // local columns; pool index order is then tuple id order, so the
+        // attribute-sum order below breaks ties the same way.
+        let locals = cx.left_local_attrs();
+        let pool: Option<Vec<u32>> = universe.map(|ids| {
+            let mut pool: Vec<u32> = ids
+                .iter()
+                .copied()
+                .filter(|&t| slot[t as usize] != NO_BUCKET)
+                .collect();
+            pool.sort_unstable();
+            pool.dedup();
+            pool
+        });
+        let mut relevant = vec![false; bucket_pos.len() - 1];
+        let mut scores = attr_sums(left);
+        let (cols, n, attrs): (Cow<[f64]>, usize, Cow<[usize]>) = match &pool {
+            None => {
+                for &b in slot.iter().filter(|&&b| b != NO_BUCKET) {
+                    relevant[b as usize] = true;
+                }
+                (left.columns().into(), n1, locals.into())
+            }
+            Some(pool) => {
+                for &t in pool {
+                    relevant[slot[t as usize] as usize] = true;
+                }
+                scores = pool.iter().map(|&t| scores[t as usize]).collect();
+                let gathered = locals
+                    .iter()
+                    .flat_map(|&attr| {
+                        let col = left.column(attr);
+                        pool.iter().map(move |&t| col[t as usize])
+                    })
+                    .collect::<Vec<f64>>();
+                (gathered.into(), pool.len(), (0..locals.len()).collect())
+            }
+        };
+        let tuple = |i: u32| pool.as_ref().map_or(i, |p| p[i as usize]);
+
         // τ(u′) of every left leg, sharded over workers.
         let stride = params.l1 + params.a;
-        let n_legs = legs.left.len() / stride;
-        let scores = attr_sums(left);
-        let locals = cx.left_local_attrs();
+        let n_legs = left_legs.len() / stride;
         let ranges = crate::parallel::even_ranges(n_legs, threads);
         let parts = crate::parallel::run_ranges(&ranges, |range, cancelled| {
             let mut cp = Checkpoint::new(deadline);
             let mut scratch = TargetScratch::default();
             let mut ids = Vec::new();
             let (mut members, mut ends) = (Vec::new(), Vec::with_capacity(range.len()));
-            for leg in legs.left[range.start * stride..range.end * stride].chunks_exact(stride) {
+            for leg in left_legs[range.start * stride..range.end * stride].chunks_exact(stride) {
                 cp.tick_shared(cancelled)?;
-                let (le, lt) = local_counts(left, locals, &leg[..params.l1], &mut scratch);
+                let (le, lt) = local_counts(&cols, n, &attrs, &leg[..params.l1], &mut scratch);
                 ids.clear();
-                ids.extend((0..n1 as u32).filter(|&t| {
-                    le[t as usize] as usize >= params.k1_pp && slot[t as usize] != NO_BUCKET
+                ids.extend((0..n as u32).filter(|&i| {
+                    le[i as usize] as usize >= params.k1_pp && slot[tuple(i) as usize] != NO_BUCKET
                 }));
                 order_by_attr_sum(&mut ids, &scores);
-                members.extend(ids.iter().map(|&t| Member {
-                    at: t,
-                    le: le[t as usize] as u16,
-                    lt: lt[t as usize] as u16,
+                members.extend(ids.iter().map(|&i| Member {
+                    at: tuple(i),
+                    le: le[i as usize] as u16,
+                    lt: lt[i as usize] as u16,
                 }));
                 ends.push(members.len() as u32);
             }
@@ -302,27 +383,53 @@ impl<'b, 'a> LegIndex<'b, 'a> {
         }
         let lagg = gather_aggs(left, params.a, 0..n1 as u32);
         let ragg = gather_aggs(right, params.a, cx.right_scan_order().iter().copied());
+        let rcols = cx
+            .right_local_attrs()
+            .iter()
+            .flat_map(|&attr| {
+                let col = right.column(attr);
+                cx.right_scan_order().iter().map(move |&t| col[t as usize])
+            })
+            .collect();
+        let relevant_positions: u32 = relevant
+            .iter()
+            .zip(bucket_pos.windows(2))
+            .filter(|(&r, _)| r)
+            .map(|(_, w)| w[1] - w[0])
+            .sum();
         let counters = CheckCounters {
-            attr_cmps: (n_legs * n1 * params.l1) as u64,
+            attr_cmps: (n_legs * n * params.l1) as u64,
             ..CheckCounters::default()
         };
         Ok((
             LegIndex {
                 cx,
-                legs,
+                left_legs,
+                right_legs,
                 k: params.k,
                 k2_pp: params.k2_pp,
-                pos_bucket,
-                buckets,
+                bucket_pos,
                 slot,
                 span,
+                relevant,
                 left: left_ranges,
                 members,
                 lagg,
                 ragg,
+                rcols,
+                sweep_cost: u64::from(relevant_positions) * params.l2 as u64,
             },
             counters,
         ))
+    }
+
+    fn buckets(&self) -> usize {
+        self.bucket_pos.len() - 1
+    }
+
+    /// Bucket `b`'s right scan positions.
+    fn bucket(&self, b: usize) -> Range<usize> {
+        self.bucket_pos[b] as usize..self.bucket_pos[b + 1] as usize
     }
 
     /// `τ(u′)` with left-local counts, ascending attribute sum.
@@ -334,13 +441,58 @@ impl<'b, 'a> LegIndex<'b, 'a> {
     /// The `l1 + a` values of left leg `u`.
     fn left_leg(&self, u: u32) -> &[f64] {
         let stride = self.cx.l1() + self.cx.a();
-        &self.legs.left[u as usize * stride..][..stride]
+        &self.left_legs[u as usize * stride..][..stride]
     }
 
     /// The `l2 + a` values of right leg `v`.
     fn right_leg(&self, v: u32) -> &[f64] {
         let stride = self.cx.l2() + self.cx.a();
-        &self.legs.right[v as usize * stride..][..stride]
+        &self.right_legs[v as usize * stride..][..stride]
+    }
+
+    /// Left tuple `u`'s partners as right scan positions.
+    fn partners(&self, u: u32) -> Range<usize> {
+        match self.span.get(u as usize) {
+            Some(&(lo, hi)) => lo as usize..hi as usize,
+            None => self.bucket(self.slot[u as usize] as usize),
+        }
+    }
+
+    /// Left tuple `u`'s aggregate inputs.
+    fn left_aggs(&self, u: u32) -> &[f64] {
+        let a = self.cx.a();
+        &self.lagg[u as usize * a..][..a]
+    }
+
+    /// Does target `m` (aggregate inputs `lagg`) joined with the right
+    /// tuple at scan position `pos` (right-local counts `le`/`lt` against
+    /// the right leg) k-dominate the candidate, whose aggregates are
+    /// `cand_aggs`? The one dominance test of both scans.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn dominates(
+        &self,
+        m: Member,
+        lagg: &[f64],
+        pos: u32,
+        (le, lt): (u32, u32),
+        cand_aggs: &[f64],
+        counters: &mut CheckCounters,
+    ) -> bool {
+        let a = cand_aggs.len();
+        counters.dom_tests += 1;
+        let mut mle = m.le as u32 + le;
+        let mut mlt = m.lt as u32 + lt;
+        if a > 0 {
+            counters.attr_cmps += a as u64;
+            let ragg = &self.ragg[pos as usize * a..][..a];
+            for s in 0..a {
+                let v = self.cx.combine_slot(s, lagg[s], ragg[s]);
+                mle += (v <= cand_aggs[s]) as u32;
+                mlt += (v < cand_aggs[s]) as u32;
+            }
+        }
+        mle >= self.k as u32 && mlt >= 1
     }
 }
 
@@ -353,34 +505,56 @@ fn gather_aggs(rel: &Relation, a: usize, ids: impl Iterator<Item = u32>) -> Vec<
         .collect()
 }
 
-/// One worker's half of the leg kernel: the memo of the current right leg
-/// `τ(v′)` (bucketed, each bucket `≤`-count descending) plus scratch.
+/// One worker's half of the leg kernel: the current right leg's
+/// right-local counts, filled one bucket at a time as targets need them,
+/// and — once loaded — its `τ(v′)`, bucketed, each bucket `≤`-count
+/// descending.
 pub(crate) struct LegCheck<'i, 'b, 'a> {
     ix: &'i LegIndex<'b, 'a>,
-    /// The right leg whose `τ` is loaded (`u32::MAX`: none yet).
+    /// The right leg being checked (`u32::MAX`: none yet).
     leg: u32,
+    /// Bumped with every new right leg: bucket `b`'s counts in `rle`/`rlt`
+    /// belong to the current leg iff `filled[b] == stamp`.
+    stamp: u64,
+    filled: Vec<u64>,
+    /// Right-local `≤`/`<` counts against the leg, by scan position.
+    rle: Vec<u32>,
+    rlt: Vec<u32>,
+    /// Is `τ(leg)` loaded into `right`?
+    loaded: bool,
+    /// The direct work spent on `leg`: `l2` comparisons per partner
+    /// position the direct scan reads. Counting a bucket is not direct
+    /// work: a load reuses the counts.
+    spent: u64,
     right: Vec<Member>,
     /// `right[bucket_start[b]..bucket_start[b + 1]]` is bucket `b`.
     bucket_start: Vec<u32>,
-    /// One more than bucket `b`'s highest `≤` count (its first member's);
-    /// 0 for an empty bucket.
+    /// One more than bucket `b`'s highest `≤` count against the leg (once
+    /// loaded, its first member's). Valid for counted buckets only.
     top: Vec<u32>,
-    scratch: TargetScratch,
+    /// Counting-sort cursors of [`Self::load`], one per `≤` count.
+    next: Vec<u32>,
     cand_aggs: Vec<f64>,
     counters: CheckCounters,
 }
 
 impl<'i, 'b, 'a> LegCheck<'i, 'b, 'a> {
     pub(crate) fn new(ix: &'i LegIndex<'b, 'a>) -> Self {
-        let a = ix.cx.a();
+        let n2 = ix.cx.right().n();
         LegCheck {
             ix,
             leg: u32::MAX,
+            stamp: 0,
+            filled: vec![0; ix.buckets()],
+            rle: vec![0; n2],
+            rlt: vec![0; n2],
+            loaded: false,
+            spent: 0,
             right: Vec::new(),
-            bucket_start: vec![0; ix.buckets + 1],
-            top: vec![0; ix.buckets],
-            scratch: TargetScratch::default(),
-            cand_aggs: vec![0.0; a],
+            bucket_start: vec![0; ix.buckets() + 1],
+            top: vec![0; ix.buckets()],
+            next: vec![0; ix.cx.l2() + 1],
+            cand_aggs: vec![0.0; ix.cx.a()],
             counters: CheckCounters::default(),
         }
     }
@@ -389,35 +563,71 @@ impl<'i, 'b, 'a> LegCheck<'i, 'b, 'a> {
         self.counters
     }
 
-    /// Sweep the right relation against right leg `v′` and bucket `τ(v′)`.
-    fn load(&mut self, v: u32) {
+    /// Count bucket `b`'s right locals against the current leg, unless
+    /// they already are, and set its `top`.
+    fn fill(&mut self, b: usize) {
+        if self.filled[b] == self.stamp {
+            return;
+        }
         let ix = self.ix;
-        let cx = ix.cx;
-        let right = cx.right();
-        let probe = &ix.right_leg(v)[..cx.l2()];
-        let (le, lt) = local_counts(right, cx.right_local_attrs(), probe, &mut self.scratch);
-        self.counters.attr_cmps += (right.n() * cx.l2()) as u64;
+        let (n2, l2) = (ix.cx.right().n(), ix.cx.l2());
+        let probe = &ix.right_leg(self.leg)[..l2];
+        let r = ix.bucket(b);
+        let (le, lt) = (&mut self.rle[r.clone()], &mut self.rlt[r.clone()]);
+        le.fill(0);
+        lt.fill(0);
+        for (j, &p) in probe.iter().enumerate() {
+            accumulate_le_lt(&ix.rcols[j * n2 + r.start..j * n2 + r.end], p, le, lt);
+        }
+        self.top[b] = le.iter().max().map_or(0, |&c| c + 1);
+        self.counters.attr_cmps += (r.len() * l2) as u64;
+        self.filled[b] = self.stamp;
+    }
+
+    /// Load the current leg's `τ(v′)` over the relevant buckets: count
+    /// those not yet counted, keep the members reaching `k″2`, each
+    /// bucket `≤`-count descending, ties by position.
+    fn load(&mut self) {
+        let ix = self.ix;
         self.right.clear();
-        self.bucket_start.fill(0);
-        for (pos, &t) in cx.right_scan_order().iter().enumerate() {
-            let c = le[t as usize];
-            if c as usize >= ix.k2_pp {
-                self.right.push(Member {
-                    at: pos as u32,
-                    le: c as u16,
-                    lt: lt[t as usize] as u16,
-                });
-                self.bucket_start[ix.pos_bucket[pos] as usize + 1] += 1;
+        for b in 0..ix.buckets() {
+            self.bucket_start[b] = self.right.len() as u32;
+            if !ix.relevant[b] {
+                continue;
+            }
+            self.fill(b);
+            // Counting sort: the counts are at most `l2`. `next[c]` is
+            // where the next member with count `c` goes.
+            self.next.fill(0);
+            for pos in ix.bucket(b) {
+                self.next[self.rle[pos] as usize] += 1;
+            }
+            let mut at = self.right.len() as u32;
+            for c in (ix.k2_pp..self.next.len()).rev() {
+                (self.next[c], at) = (at, at + self.next[c]);
+            }
+            self.right.resize(
+                at as usize,
+                Member {
+                    at: 0,
+                    le: 0,
+                    lt: 0,
+                },
+            );
+            for pos in ix.bucket(b) {
+                let c = self.rle[pos] as usize;
+                if c >= ix.k2_pp {
+                    self.right[self.next[c] as usize] = Member {
+                        at: pos as u32,
+                        le: c as u16,
+                        lt: self.rlt[pos] as u16,
+                    };
+                    self.next[c] += 1;
+                }
             }
         }
-        for b in 0..ix.buckets {
-            self.bucket_start[b + 1] += self.bucket_start[b];
-            let bucket =
-                &mut self.right[self.bucket_start[b] as usize..self.bucket_start[b + 1] as usize];
-            bucket.sort_unstable_by_key(|m| (Reverse(m.le), m.at));
-            self.top[b] = bucket.first().map_or(0, |m| m.le as u32 + 1);
-        }
-        self.leg = v;
+        self.bucket_start[ix.buckets()] = self.right.len() as u32;
+        self.loaded = true;
     }
 
     /// Is candidate `u′ ⋈ v′` (leg indices) k-dominated by some `u ⋈ v`
@@ -425,13 +635,15 @@ impl<'i, 'b, 'a> LegCheck<'i, 'b, 'a> {
     /// consecutive.
     pub(crate) fn dominated(&mut self, u_prime: u32, v_prime: u32) -> bool {
         if self.leg != v_prime {
-            self.load(v_prime);
+            self.leg = v_prime;
+            self.stamp += 1;
+            self.loaded = false;
+            self.spent = 0;
         }
         let ix = self.ix;
         let cx = ix.cx;
         let targets = ix.left_targets(u_prime);
-        self.counters.targets_pruned +=
-            (cx.left().n() - targets.len() + cx.right().n() - self.right.len()) as u64;
+        self.counters.targets_pruned += (cx.left().n() - targets.len()) as u64;
         let a = cx.a();
         if a > 0 {
             let lv = &ix.left_leg(u_prime)[cx.l1()..];
@@ -440,14 +652,41 @@ impl<'i, 'b, 'a> LegCheck<'i, 'b, 'a> {
                 self.cand_aggs[s] = cx.combine_slot(s, lv[s], rv[s]);
             }
         }
-        let k = ix.k as u32;
+        let l2 = cx.l2() as u32;
         // k > d ≥ a for every valid k.
-        let k_minus_a = k - a as u32;
-        // Most targets' buckets hold no member that could reach `k`: a
-        // branch-free prescan over a block of targets finds the few whose
-        // bucket does, and only those are scanned.
+        let k_minus_a = (ix.k - a) as u32;
+        let mut rest = targets;
+        // Unloaded: one target at a time, counting its bucket on first
+        // use, until a span would pass the budget; that target and the
+        // rest are then scanned bucketed.
+        while !self.loaded {
+            let Some((&m, tail)) = rest.split_first() else {
+                return false;
+            };
+            let need = k_minus_a.saturating_sub(m.le as u32);
+            if need <= l2 {
+                let b = ix.slot[m.at as usize] as usize;
+                self.fill(b);
+                if self.top[b] > need {
+                    if !self.afford(m) {
+                        self.load();
+                        break;
+                    }
+                    if self.scan_span(m) {
+                        return true;
+                    }
+                    rest = tail;
+                    continue;
+                }
+            }
+            self.counters.targets_pruned += 1;
+            rest = tail;
+        }
+        // Loaded: most targets' buckets hold no partner that could reach
+        // `k`; a branch-free prescan over a block of targets finds the few
+        // whose bucket does, and only those are scanned.
         const BLOCK: usize = 32;
-        for block in targets.chunks(BLOCK) {
+        for block in rest.chunks(BLOCK) {
             let mut live = 0u32;
             for (i, m) in block.iter().enumerate() {
                 let top = self.top[ix.slot[m.at as usize] as usize];
@@ -457,35 +696,79 @@ impl<'i, 'b, 'a> LegCheck<'i, 'b, 'a> {
             while live != 0 {
                 let m = block[live.trailing_zeros() as usize];
                 live &= live - 1;
-                let b = ix.slot[m.at as usize] as usize;
-                let bucket =
-                    &self.right[self.bucket_start[b] as usize..self.bucket_start[b + 1] as usize];
-                let need = k_minus_a.saturating_sub(m.le as u32);
-                let (lo, hi) = ix.span.get(m.at as usize).copied().unwrap_or((0, u32::MAX));
-                let lagg = &ix.lagg[m.at as usize * a..][..a];
-                for r in bucket {
-                    if (r.le as u32) < need {
-                        break;
-                    }
-                    if r.at < lo || r.at >= hi {
-                        continue;
-                    }
-                    self.counters.dom_tests += 1;
-                    let mut mle = m.le as u32 + r.le as u32;
-                    let mut mlt = m.lt as u32 + r.lt as u32;
-                    if a > 0 {
-                        self.counters.attr_cmps += a as u64;
-                        let ragg = &ix.ragg[r.at as usize * a..][..a];
-                        for s in 0..a {
-                            let v = cx.combine_slot(s, lagg[s], ragg[s]);
-                            mle += (v <= self.cand_aggs[s]) as u32;
-                            mlt += (v < self.cand_aggs[s]) as u32;
-                        }
-                    }
-                    if mle >= k && mlt >= 1 {
-                        return true;
-                    }
+                if self.scan_bucket(m) {
+                    return true;
                 }
+            }
+        }
+        false
+    }
+
+    /// Can the direct scan read target `m`'s partner span within the
+    /// leg's budget of one sweep? Charges the span if so.
+    fn afford(&mut self, m: Member) -> bool {
+        let ix = self.ix;
+        let spent = self.spent + (ix.partners(m.at).len() * ix.cx.l2()) as u64;
+        if spent > ix.sweep_cost {
+            return false;
+        }
+        self.spent = spent;
+        true
+    }
+
+    /// The direct scan of target `m`: its partner span read position by
+    /// position from the counted bucket, a branch-free prescan over
+    /// blocks of the span finding the few positions that reach `need`.
+    fn scan_span(&mut self, m: Member) -> bool {
+        let ix = self.ix;
+        let need = (ix.k - ix.cx.a()) as u32 - m.le as u32;
+        let span = ix.partners(m.at);
+        let lagg = ix.left_aggs(m.at);
+        const BLOCK: usize = 64;
+        for (i, block) in self.rle[span.clone()].chunks(BLOCK).enumerate() {
+            if !block.iter().fold(false, |any, &le| any | (le >= need)) {
+                continue;
+            }
+            for (pos, &le) in (span.start + i * BLOCK..).zip(block) {
+                let counts = (le, self.rlt[pos]);
+                if le >= need
+                    && ix.dominates(
+                        m,
+                        lagg,
+                        pos as u32,
+                        counts,
+                        &self.cand_aggs,
+                        &mut self.counters,
+                    )
+                {
+                    return true;
+                }
+            }
+        }
+        false
+    }
+
+    /// The bucketed scan of target `m` over the loaded `τ(v′)`: its
+    /// bucket's members, `≤`-count descending, until one falls below
+    /// `need`.
+    #[inline(always)]
+    fn scan_bucket(&mut self, m: Member) -> bool {
+        let ix = self.ix;
+        let need = (ix.k - ix.cx.a()) as u32 - m.le as u32;
+        let b = ix.slot[m.at as usize] as usize;
+        let bucket = &self.right[self.bucket_start[b] as usize..self.bucket_start[b + 1] as usize];
+        let (lo, hi) = ix.span.get(m.at as usize).copied().unwrap_or((0, u32::MAX));
+        let lagg = ix.left_aggs(m.at);
+        for r in bucket {
+            if (r.le as u32) < need {
+                break;
+            }
+            if r.at < lo || r.at >= hi {
+                continue;
+            }
+            let counts = (r.le as u32, r.lt as u32);
+            if ix.dominates(m, lagg, r.at, counts, &self.cand_aggs, &mut self.counters) {
+                return true;
             }
         }
         false
@@ -494,7 +777,7 @@ impl<'i, 'b, 'a> LegCheck<'i, 'b, 'a> {
 
 /// `items` ordered by their right leg `right(item) < n_right` (stable
 /// counting sort), so every right leg's candidates are consecutive and
-/// its `τ(v′)` is built once.
+/// its `τ(v′)` is built at most once.
 fn by_right_leg<T: Copy>(items: &[T], n_right: usize, right: impl Fn(&T) -> u32) -> Vec<T> {
     let mut next = vec![0u32; n_right + 1];
     for item in items {
@@ -512,39 +795,95 @@ fn by_right_leg<T: Copy>(items: &[T], n_right: usize, right: impl Fn(&T) -> u32)
     out
 }
 
-/// Check `pairs` (leg indices into `legs`, grouped by right leg) with the
-/// leg kernel, calling `verdict(q, dominated)` for each position `q` of
-/// `pairs`. With `threads ≤ 1` verdicts arrive as their checks complete;
-/// with more, after the workers join.
-fn check_legs(
-    cx: &JoinContext<'_>,
-    params: &KsjqParams,
-    legs: &Legs,
+/// Check `pairs` (leg indices into `ix`'s legs, grouped by right leg),
+/// calling `verdict(q, dominated)` for each position `q` of `pairs`. With
+/// `threads ≤ 1` verdicts arrive as their checks complete; with more,
+/// after the workers join. Returns the checks' counters.
+fn run_checks(
+    ix: &LegIndex<'_, '_>,
     pairs: &[(u32, u32)],
     threads: usize,
     deadline: Option<Instant>,
     mut verdict: impl FnMut(usize, bool),
 ) -> CoreResult<CheckCounters> {
-    if pairs.is_empty() {
-        return Ok(CheckCounters::default());
-    }
-    let (ix, mut counters) = LegIndex::build(cx, params, legs, threads, deadline)?;
     if threads <= 1 {
-        let mut chk = LegCheck::new(&ix);
+        let mut chk = LegCheck::new(ix);
         let mut cp = Checkpoint::new(deadline);
         for (q, &(u, v)) in pairs.iter().enumerate() {
             cp.tick()?;
             verdict(q, chk.dominated(u, v));
         }
-        counters.absorb(chk.counters());
-    } else {
-        let (bits, c) = crate::parallel::verify_parallel(&ix, pairs, threads, deadline)?;
-        counters.absorb(c);
-        for (q, dominated) in bits.into_iter().enumerate() {
-            verdict(q, dominated);
-        }
+        return Ok(chk.counters());
+    }
+    let (bits, counters) = crate::parallel::verify_parallel(ix, pairs, threads, deadline)?;
+    for (q, dominated) in bits.into_iter().enumerate() {
+        verdict(q, dominated);
     }
     Ok(counters)
+}
+
+/// Check `cx`'s tuple-id `pairs` with the leg kernel, `τ(u′)` drawn from
+/// `universe` (every left tuple when `None`), calling
+/// `verdict(u′, v′, dominated)` for each pair. The distinct left legs are
+/// gathered ([`gather_side`]) and their `τ(u′)` built first; a pair whose
+/// `τ(u′)` is empty cannot be dominated and gets its verdict at once. The
+/// rest are grouped by right leg, and only their right legs are gathered
+/// and checked. Returns the kernel's counters and how many pairs had a
+/// non-empty `τ(u′)`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn check_pairs(
+    cx: &JoinContext<'_>,
+    params: &KsjqParams,
+    pairs: &[(u32, u32)],
+    universe: Option<&[u32]>,
+    threads: usize,
+    deadline: Option<Instant>,
+    mut verdict: impl FnMut(u32, u32, bool),
+) -> CoreResult<(CheckCounters, usize)> {
+    if pairs.is_empty() {
+        return Ok((CheckCounters::default(), 0));
+    }
+    let (left, right, a) = (cx.left(), cx.right(), cx.a());
+    let (left_legs, lids, lindex) =
+        gather_side(left, cx.left_local_attrs(), a, pairs.iter().map(|p| p.0));
+    let (ix, mut counters) =
+        LegIndex::build(cx, params, (&left_legs, &[]), universe, threads, deadline)?;
+    let mut targeted: Vec<(u32, u32)> = Vec::with_capacity(pairs.len());
+    for &(u, v) in pairs {
+        let leg = lindex[u as usize];
+        if ix.left_targets(leg).is_empty() {
+            verdict(u, v, false);
+        } else {
+            targeted.push((leg, v));
+        }
+    }
+    // Sorted by right tuple id, the pairs stay grouped by right leg once
+    // re-indexed: right legs are numbered in ascending tuple id.
+    let mut targeted = by_right_leg(&targeted, right.n(), |p| p.1);
+    let (right_legs, rids, rindex) = gather_side(
+        right,
+        cx.right_local_attrs(),
+        a,
+        targeted.iter().map(|p| p.1),
+    );
+    for (_, v) in &mut targeted {
+        *v = rindex[*v as usize];
+    }
+    let ix = LegIndex {
+        right_legs: &right_legs,
+        ..ix
+    };
+    counters.absorb(run_checks(
+        &ix,
+        &targeted,
+        threads,
+        deadline,
+        |q, dominated| {
+            let (u, v) = targeted[q];
+            verdict(lids[u as usize], rids[v as usize], dominated);
+        },
+    )?);
+    Ok((counters, targeted.len()))
 }
 
 /// Verify candidate pairs `(u′, v′)` of `cx`'s join under `k`-dominance
@@ -574,28 +913,25 @@ pub fn verify_candidates(
     mut sink: impl FnMut(u32, u32),
 ) -> CoreResult<CheckCounters> {
     let params = validate_k(cx, k)?;
-    // Sorted by right tuple id, the pairs stay grouped by right leg once
-    // re-indexed: right legs are numbered in ascending tuple id.
-    let sorted = by_right_leg(pairs, cx.right().n(), |p| p.1);
-    let (legs, lids, rids) = Legs::gather(cx, sorted);
-    check_legs(
+    let (counters, _) = check_pairs(
         cx,
         &params,
-        &legs,
-        &legs.pairs,
+        pairs,
+        None,
         threads,
         deadline,
-        |q, dominated| {
+        |u, v, dominated| {
             if !dominated {
-                let (u, v) = legs.pairs[q];
-                sink(lids[u as usize], rids[v as usize]);
+                sink(u, v);
             }
         },
-    )
+    )?;
+    Ok(counters)
 }
 
-/// Is each candidate of `legs` k-dominated by some joined tuple of `cx`?
-/// One bit per pair, in `legs.pairs` order, from the same leg kernel as
+/// Is each candidate of `legs` k-dominated by some joined tuple `u ⋈ v`
+/// of `cx` with `u` in `universe` (any left tuple when `None`)? One bit
+/// per pair, in `legs.pairs` order, from the same leg kernel as
 /// [`verify_candidates`] (serial). The legs need not belong to `cx`'s
 /// relations: this is a shard's half of the distributed `CHECK`, run on
 /// another shard's candidates.
@@ -606,12 +942,14 @@ pub fn verify_candidates(
 ///
 /// # Panics
 ///
-/// If a leg list is not a whole number of `l + a`-value legs, or a pair
-/// names a leg that is not there. Callers validate wire input first.
+/// If a leg list is not a whole number of `l + a`-value legs, a pair
+/// names a leg that is not there, or `universe` names a tuple the left
+/// relation does not have. Callers validate wire input first.
 pub fn verify_legs(
     cx: &JoinContext<'_>,
     k: usize,
     legs: &Legs,
+    universe: Option<&[u32]>,
     deadline: Option<Instant>,
 ) -> CoreResult<(Vec<bool>, CheckCounters)> {
     let params = validate_k(cx, k)?;
@@ -628,18 +966,34 @@ pub fn verify_legs(
         legs.pairs.iter().all(|&(u, v)| u < nl && v < nr),
         "pairs must name existing legs"
     );
+    assert!(
+        universe.is_none_or(|ids| ids.iter().all(|&t| (t as usize) < cx.left().n())),
+        "the universe must name left tuples"
+    );
     let all: Vec<u32> = (0..legs.pairs.len() as u32).collect();
     let order = by_right_leg(&all, nr as usize, |&p| legs.pairs[p as usize].1);
     let sorted: Vec<(u32, u32)> = order.iter().map(|&p| legs.pairs[p as usize]).collect();
     let mut bits = vec![false; legs.pairs.len()];
-    let counters = check_legs(cx, &params, legs, &sorted, 1, deadline, |q, dominated| {
+    if sorted.is_empty() {
+        return Ok((bits, CheckCounters::default()));
+    }
+    let (ix, mut counters) = LegIndex::build(
+        cx,
+        &params,
+        (&legs.left, &legs.right),
+        universe,
+        1,
+        deadline,
+    )?;
+    counters.absorb(run_checks(&ix, &sorted, 1, deadline, |q, dominated| {
         bits[order[q] as usize] = dominated
-    })?;
+    })?);
     Ok((bits, counters))
 }
 
-/// The scalar row-major oracle of the row-probe verifiers. It gathers both
-/// relations' rows into scratch once, at construction; for each
+/// The scalar row-major oracle of both kernels, for candidates given as
+/// joined rows. It gathers both relations' rows into scratch once, at
+/// construction; for each
 /// target leg the left-half [`DomCounts`] are computed once, then merged
 /// with each partner's right-half counts (memoised per call) and the `a`
 /// aggregate positions via [`DomCounts::merge`] — bit-identical to
@@ -914,11 +1268,11 @@ fn gather_left_locals(cx: &JoinContext<'_>) -> Vec<f64> {
     out
 }
 
-/// Scan one contiguous partner span for a partner that, joined with the
-/// target leg `u` (left-half counts `lc`), k-dominates the candidate: a
-/// blocked threshold prescan over the partner-half `≤` counts finds the
-/// rare positions whose merged counts could still reach `k`; only those
-/// pay the aggregate fill. Verdicts are identical to the oracle's per-pair
+/// Scan one contiguous partner span for a partner in the right-target
+/// mask that, joined with the target leg `u` (left-half counts `lc`),
+/// k-dominates the candidate: a blocked threshold prescan over the
+/// partner-half `≤` counts finds the rare positions whose merged counts
+/// could still reach `k`; only those pay the aggregate fill. Verdicts are identical to the oracle's per-pair
 /// merge — same skip condition, same final formula, same scan order.
 #[allow(clippy::too_many_arguments)]
 fn scan_span(
@@ -929,7 +1283,7 @@ fn scan_span(
     span: Range<usize>,
     le: &[u32],
     lt: &[u32],
-    mask: Option<&[bool]>,
+    mask: &[bool],
     aggs: &mut [f64],
     ca: &[f64],
     counters: &mut CheckCounters,
@@ -946,21 +1300,12 @@ fn scan_span(
         // Branch-free OR-reduction over the block; the compiler vectorises
         // the threshold compare against the contiguous u32 counts.
         let mut any = false;
-        match mask {
-            None => {
-                for &c in &le[p..end] {
-                    any |= c >= need;
-                }
-            }
-            Some(m) => {
-                for (&c, &allowed) in le[p..end].iter().zip(&m[p..end]) {
-                    any |= allowed & (c >= need);
-                }
-            }
+        for (&c, &allowed) in le[p..end].iter().zip(&mask[p..end]) {
+            any |= allowed & (c >= need);
         }
         if any {
             for q in p..end {
-                if le[q] < need || mask.is_some_and(|m| !m[q]) {
+                if le[q] < need || !mask[q] {
                     continue;
                 }
                 let mut mle = lc.le + le[q];
@@ -985,8 +1330,8 @@ fn scan_span(
 }
 
 /// The columnar verifier for candidates given as **joined rows**: the
-/// probes of incremental maintenance and the dominator-based algorithm's
-/// `dom(u′) ⋈ dom(v′)` reference path. Same verdicts as
+/// dominator-based algorithm's `dom(u′) ⋈ dom(v′)` reference path. Same
+/// verdicts as
 /// [`JoinedCheck`] (the scalar row-major oracle), but the partner-half
 /// `≤`/`<` counts are computed by stride-1 lane-blocked sweeps over the
 /// right local columns permuted into the join's *scan order*, where every
@@ -1083,9 +1428,9 @@ impl<'b, 'a> ColumnarCheck<'b, 'a> {
         self.rstamp[key] = self.generation;
     }
 
-    /// The shared scan of both entry points: left target legs in the given
-    /// order, each against its (optionally masked) partner span.
-    fn scan(&mut self, targets: &[u32], cand: &[f64], masked: bool) -> bool {
+    /// Left target legs in the given order, each against its partner span
+    /// masked to the right targets.
+    fn scan(&mut self, targets: &[u32], cand: &[f64]) -> bool {
         let cx = self.cx;
         let (l1, l2) = (cx.l1(), cx.l2());
         debug_assert_eq!(cand.len(), l1 + l2 + cx.a());
@@ -1111,7 +1456,7 @@ impl<'b, 'a> ColumnarCheck<'b, 'a> {
                 span,
                 &self.rc_le,
                 &self.rc_lt,
-                masked.then_some(&self.rmask[..]),
+                &self.rmask,
                 &mut self.aggs,
                 ca,
                 &mut self.counters,
@@ -1120,14 +1465,6 @@ impl<'b, 'a> ColumnarCheck<'b, 'a> {
             }
         }
         false
-    }
-
-    /// Is `cand` k-dominated by some `u ⋈ v` with `u ∈ targets`,
-    /// `v` join-compatible with `u`?
-    pub fn dominated_via_left(&mut self, targets: &[u32], cand: &[f64]) -> bool {
-        self.generation += 1;
-        self.counters.targets_pruned += (self.cx.left().n().saturating_sub(targets.len())) as u64;
-        self.scan(targets, cand, false)
     }
 
     /// Is `cand` k-dominated by some `u ⋈ v` with `u ∈ left_targets` *and*
@@ -1146,7 +1483,7 @@ impl<'b, 'a> ColumnarCheck<'b, 'a> {
         for &v in right_targets {
             self.rmask[self.rpos[v as usize] as usize] = true;
         }
-        let found = self.scan(left_targets, cand, true);
+        let found = self.scan(left_targets, cand);
         for &v in right_targets {
             self.rmask[self.rpos[v as usize] as usize] = false;
         }
@@ -1307,9 +1644,10 @@ mod tests {
         assert_eq!(c.attr_cmps, 2 + 10 * 2);
     }
 
-    /// The columnar verifier must return the oracle's verdicts on both
-    /// entry points, for an aggregate join over random data and every
-    /// valid k — including arbitrary (restricted) target sets.
+    /// The columnar verifier and the leg kernel (restricted to a left
+    /// universe) must return the oracle's verdicts, for an aggregate join
+    /// over random data and every valid k — including arbitrary
+    /// (restricted) target sets.
     #[test]
     fn columnar_matches_oracle_on_aggregate_join() {
         let schema = || Schema::uniform_agg(1, 2).unwrap();
@@ -1341,10 +1679,12 @@ mod tests {
                 // Restricted target sets exercise the mask / span logic.
                 let lt: Vec<u32> = (0..r1.n() as u32).filter(|t| t % 2 == u % 2).collect();
                 let rt: Vec<u32> = (0..r2.n() as u32).filter(|t| t % 3 == v % 3).collect();
+                let (legs, _, _) = Legs::gather(&cx, vec![(u, v)]);
+                let (bits, _) = verify_legs(&cx, k, &legs, Some(&lt), None).unwrap();
                 assert_eq!(
-                    columnar.dominated_via_left(&lt, &cand),
+                    bits[0],
                     oracle.dominated_via_left(&lt, &cand),
-                    "via_left ({u},{v}) k={k}"
+                    "legs within ({u},{v}) k={k}"
                 );
                 assert_eq!(
                     columnar.dominated_via_both(&lt, &rt, &cand),
@@ -1369,7 +1709,7 @@ mod tests {
     }
 
     /// Per-call target pruning accounting: a restricted target set counts
-    /// the excluded legs in both verifiers.
+    /// the excluded legs in both row verifiers.
     #[test]
     fn targets_pruned_counts_excluded_legs() {
         let rows: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64, i as f64]).collect();
@@ -1381,7 +1721,7 @@ mod tests {
         let _ = oracle.dominated_via_left(&[1, 2, 3], &cand);
         assert_eq!(oracle.counters().targets_pruned, 7);
         let mut columnar = ColumnarCheck::new(&cx, 4);
-        let _ = columnar.dominated_via_left(&[1, 2, 3], &cand);
+        let _ = columnar.dominated_via_both(&[1, 2, 3], &[0], &cand);
         assert_eq!(columnar.counters().targets_pruned, 7);
     }
 
@@ -1424,19 +1764,114 @@ mod tests {
         }
     }
 
-    /// Every distinct leg is swept exactly once, however many candidates
-    /// share it: at `a = 0` the comparisons are `n·l` per distinct left
-    /// leg plus `n·l` per distinct right leg, and nothing else.
+    /// Run the kernel over `legs` (in pair order) with a right leg's
+    /// direct budget forced to `budget`: 0 loads every `τ(v′)` a target
+    /// could use, `u64::MAX` never loads one. One bit per pair, plus all
+    /// counters.
+    fn forced(
+        cx: &JoinContext<'_>,
+        k: usize,
+        legs: &Legs,
+        universe: Option<&[u32]>,
+        budget: u64,
+    ) -> (Vec<bool>, CheckCounters) {
+        let params = validate_k(cx, k).unwrap();
+        let (mut ix, mut counters) =
+            LegIndex::build(cx, &params, (&legs.left, &legs.right), universe, 1, None).unwrap();
+        ix.sweep_cost = budget;
+        let mut chk = LegCheck::new(&ix);
+        let bits = legs
+            .pairs
+            .iter()
+            .map(|&(u, v)| chk.dominated(u, v))
+            .collect();
+        counters.absorb(chk.counters());
+        (bits, counters)
+    }
+
+    /// The direct and the bucketed scan must give identical verdict bits
+    /// over the same legs — equal to the oracle's and to the on-demand
+    /// switch's — on equality, theta and Cartesian joins, with and
+    /// without aggregates, over every left tuple and over a restricted
+    /// left universe.
     #[test]
-    fn each_leg_is_swept_once() {
+    fn direct_and_bucketed_scans_agree() {
+        use ksjq_join::ThetaOp;
+        let mut state = 4242u64;
+        let mut next = move |m: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % m
+        };
+        let mut paths_differ = false;
+        for spec in [
+            JoinSpec::Equality,
+            JoinSpec::Theta(ThetaOp::Lt),
+            JoinSpec::Cartesian,
+        ] {
+            for funcs in [vec![], vec![AggFunc::Sum]] {
+                let schema = Schema::uniform_agg(funcs.len(), 3).unwrap();
+                let mut mk = || {
+                    let mut b = Relation::builder(schema.clone());
+                    for _ in 0..14 {
+                        let row: Vec<f64> = (0..schema.d()).map(|_| next(4) as f64).collect();
+                        match spec {
+                            JoinSpec::Equality => b.add_grouped(next(3), &row),
+                            JoinSpec::Theta(_) => b.add_keyed(next(5) as f64, &row),
+                            JoinSpec::Cartesian => b.add(&row),
+                        }
+                        .unwrap();
+                    }
+                    b.build().unwrap()
+                };
+                let (r1, r2) = (mk(), mk());
+                let cx = JoinContext::new(&r1, &r2, spec, &funcs).unwrap();
+                let m = cx.materialize();
+                let (legs, _, _) = Legs::gather(&cx, m.pairs.clone());
+                let all: Vec<u32> = (0..r1.n() as u32).collect();
+                let evens: Vec<u32> = all.iter().copied().filter(|t| t % 2 == 0).collect();
+                for k in crate::params::k_min(&cx)..=cx.d_joined() {
+                    for universe in [None, Some(&evens[..])] {
+                        let label = format!("{spec:?} a={} k={k} {universe:?}", funcs.len());
+                        let (direct, dc) = forced(&cx, k, &legs, universe, u64::MAX);
+                        let (bucketed, bc) = forced(&cx, k, &legs, universe, 0);
+                        assert_eq!(direct, bucketed, "{label}");
+                        paths_differ |= dc != bc;
+                        let (auto, _) = verify_legs(&cx, k, &legs, universe, None).unwrap();
+                        assert_eq!(auto, direct, "{label}");
+                        let mut oracle = JoinedCheck::new(&cx, k);
+                        let targets = universe.unwrap_or(&all);
+                        for (i, &bit) in direct.iter().enumerate() {
+                            let want = oracle.dominated_via_left(targets, m.row(i));
+                            assert_eq!(bit, want, "{label} candidate {i}");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(paths_differ, "the forced budgets never changed the path");
+    }
+
+    /// Every distinct leg is swept at most once, however many candidates
+    /// share it: with every `τ(v′)` loaded, at `a = 0` the comparisons are
+    /// `n·l` per distinct left leg plus `n·l` per distinct right leg, and
+    /// nothing else. On demand, a right leg spends at most one sweep's
+    /// worth of direct work before it is loaded, and the counters do not
+    /// depend on the thread count.
+    #[test]
+    fn each_leg_is_swept_at_most_once() {
         let rows: Vec<Vec<f64>> = (0..5).map(|i| vec![i as f64, 4.0 - i as f64]).collect();
         let r1 = rel(&[0; 5], &rows);
         let r2 = rel(&[0; 5], &rows);
         let cx = JoinContext::new(&r1, &r2, JoinSpec::Equality, &[]).unwrap();
         // Left legs {0, 1, 2}, right legs {0, 3}; order is irrelevant.
         let pairs = [(0, 3), (1, 0), (2, 0), (1, 3), (0, 0)];
+        let (legs, _, _) = Legs::gather(&cx, by_right_leg(&pairs, 5, |p| p.1));
+        let (_, loaded) = forced(&cx, 3, &legs, None, 0);
+        assert_eq!(loaded.attr_cmps, 3 * 5 * 2 + 2 * 5 * 2, "{loaded:?}");
         let c = verify_candidates(&cx, 3, &pairs, 1, None, |_, _| {}).unwrap();
-        assert_eq!(c.attr_cmps, 3 * 5 * 2 + 2 * 5 * 2, "{c:?}");
+        assert!(c.attr_cmps <= 3 * 5 * 2 + 2 * 2 * 5 * 2, "{c:?}");
         let threaded = verify_candidates(&cx, 3, &pairs, 2, None, |_, _| {}).unwrap();
         assert_eq!(threaded, c);
     }
@@ -1463,7 +1898,7 @@ mod tests {
         // Checking a join's own pairs as legs gives the kernel's verdicts.
         let m = cx.materialize();
         let (all, _, _) = Legs::gather(&cx, m.pairs.clone());
-        let (bits, _) = verify_legs(&cx, 4, &all, None).unwrap();
+        let (bits, _) = verify_legs(&cx, 4, &all, None, None).unwrap();
         let mut kept = Vec::new();
         verify_candidates(&cx, 4, &m.pairs, 1, None, |u, v| kept.push((u, v))).unwrap();
         kept.sort_unstable();

@@ -16,9 +16,11 @@ use std::time::Duration;
 
 const GROUPS: u64 = 4;
 
-// Schedule steps are `(op, key, rows)` tuples the shim's strategies can
-// produce: `op % 2` picks the side, `op < 2` appends the rows (keys
-// derived from `key`), `op >= 2` deletes join key `key`.
+// Schedule steps are `((op, dup), key, rows)` tuples the shim's strategies
+// can produce: `op < 2` appends the rows to side `op`, `op == 2` appends
+// them to both sides at once (keys derived from `key`), `op >= 3` deletes
+// join key `key` from side `op − 3`. `dup == 0` makes the first appended
+// row a copy (key and values) of an existing row of the side.
 
 fn to_columns(rows: &[(u64, Vec<u32>)]) -> (Vec<u64>, Vec<Vec<f64>>) {
     (
@@ -29,49 +31,75 @@ fn to_columns(rows: &[(u64, Vec<u32>)]) -> (Vec<u64>, Vec<Vec<f64>>) {
     )
 }
 
+/// The aggregate functions of schema variant `variant`: none, `Sum`, an
+/// asymmetric `WeightedSum` (swapped legs change its value), or both.
+fn agg_funcs(variant: usize) -> Vec<AggFunc> {
+    let weighted = AggFunc::WeightedSum {
+        left: 1.0,
+        right: 2.0,
+    };
+    match variant {
+        0 => vec![],
+        1 => vec![AggFunc::Sum],
+        2 => vec![weighted],
+        _ => vec![AggFunc::Sum, weighted],
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// In-process acceptance property: for random relations, a random
-    /// append/delete schedule and every admissible k, maintenance and
-    /// recompute agree on the exact pair sequence at every epoch. Each
-    /// derived snapshot also equals a fresh load of the surviving raw
-    /// rows (a shadow list kept beside the versions) — over a mixed
-    /// `Min`/`Max` schema, so every derivation round-trips the
-    /// normalisation — and a snapshot pinned before the schedule never
-    /// changes.
+    /// append/delete schedule — one side or both at once, delta rows that
+    /// may duplicate a resident row — every admissible k and aggregate
+    /// schemas with `a ∈ {0, 1, 2}`, maintenance and recompute agree on
+    /// the exact pair sequence at every epoch. Each derived snapshot also
+    /// equals a fresh load of the surviving raw rows (a shadow list kept
+    /// beside the versions) — over a mixed `Min`/`Max` schema, so every
+    /// derivation round-trips the normalisation — and a snapshot pinned
+    /// before the schedule never changes.
     #[test]
     fn maintained_equals_recompute_at_every_epoch(
         init_l in prop::collection::vec(
-            (0u64..GROUPS, prop::collection::vec(0u32..6, 3)), 2..=14),
+            (0u64..GROUPS, prop::collection::vec(0u32..6, 5)), 2..=14),
         init_r in prop::collection::vec(
-            (0u64..GROUPS, prop::collection::vec(0u32..6, 3)), 2..=14),
+            (0u64..GROUPS, prop::collection::vec(0u32..6, 5)), 2..=14),
         schedule in prop::collection::vec(
-            (0u8..4, 0u64..GROUPS, prop::collection::vec(prop::collection::vec(0u32..6, 3), 1..=3)),
+            ((0u8..5, 0u8..3), 0u64..GROUPS, prop::collection::vec(prop::collection::vec(0u32..6, 5), 1..=3)),
             1..=5),
         k_off in 0usize..3,
+        variant in 0usize..4,
     ) {
-        let d = 3;
-        let k = d + 1 + k_off; // the paper's range (d, 2d] for this shape
+        let funcs = agg_funcs(variant);
+        let a = funcs.len();
+        let d = 3 + a;
+        let k = d + 1 + k_off; // the paper's range (d, 2·3 + a] for this shape
         let recompute = |vl: &VersionedRelation, vr: &VersionedRelation| {
             let cx = JoinContext::from_arcs(
                 vl.snapshot().clone(),
                 vr.snapshot().clone(),
                 JoinSpec::Equality,
-                &[],
+                &funcs,
             )
             .unwrap();
             ksjq_grouping(&cx, k, &Config::default()).unwrap()
         };
 
-        let schema = Schema::builder()
+        let mut schema = Schema::builder();
+        for slot in 0..a {
+            schema = schema.agg(format!("s{slot}"), Preference::Min, slot);
+        }
+        let schema = schema
             .local("c0", Preference::Min)
             .local("c1", Preference::Max)
             .local("c2", Preference::Min)
             .build()
             .unwrap();
+        let width = |rows: Vec<(u64, Vec<u32>)>| -> Vec<(u64, Vec<u32>)> {
+            rows.into_iter().map(|(g, mut r)| { r.truncate(d); (g, r) }).collect()
+        };
         // The surviving raw rows of each side, in id order.
-        let mut shadow = [to_columns(&init_l), to_columns(&init_r)];
+        let mut shadow = [to_columns(&width(init_l)), to_columns(&width(init_r))];
         let fresh_load = |(keys, rows): &(Vec<u64>, Vec<Vec<f64>>)| {
             Relation::from_grouped_rows(schema.clone(), keys, rows).unwrap()
         };
@@ -90,32 +118,45 @@ proptest! {
         prop_assert_eq!(&*pinned, &pinned_load);
         let mut cached = recompute(&vl, &vr);
 
-        for (op, key, rows) in schedule {
-            if op < 2 {
+        for ((op, dup), key, rows) in schedule {
+            if op < 3 {
                 // Append: maintain the cached result across the delta.
                 let (old_ln, old_rn) = (vl.n(), vr.n());
-                let keys: Vec<u64> = rows
-                    .iter()
-                    .enumerate()
-                    .map(|(i, _)| (key + i as u64) % GROUPS)
-                    .collect();
-                let rows: Vec<Vec<f64>> = rows
-                    .iter()
-                    .map(|r| r.iter().map(|&v| f64::from(v)).collect())
-                    .collect();
-                if op == 0 {
-                    vl = vl.append(&keys, &rows).unwrap();
-                } else {
-                    vr = vr.append(&keys, &rows).unwrap();
+                for side in [0usize, 1] {
+                    if op < 2 && op as usize != side {
+                        continue;
+                    }
+                    let mut keys: Vec<u64> = rows
+                        .iter()
+                        .enumerate()
+                        .map(|(i, _)| (key + i as u64 + side as u64) % GROUPS)
+                        .collect();
+                    let mut rows: Vec<Vec<f64>> = rows
+                        .iter()
+                        .map(|r| r[..d].iter().map(|&v| f64::from(v)).collect())
+                        .collect();
+                    if dup == 0 {
+                        // A twin of a resident row: ties must not dominate it.
+                        let (twin_keys, twin_rows) = &shadow[side];
+                        let twin = key as usize % twin_keys.len().max(1);
+                        if let (Some(&k), Some(r)) = (twin_keys.get(twin), twin_rows.get(twin)) {
+                            keys[0] = k;
+                            rows[0] = r.clone();
+                        }
+                    }
+                    if side == 0 {
+                        vl = vl.append(&keys, &rows).unwrap();
+                    } else {
+                        vr = vr.append(&keys, &rows).unwrap();
+                    }
+                    shadow[side].0.extend(keys);
+                    shadow[side].1.extend(rows);
                 }
-                let side = &mut shadow[op as usize];
-                side.0.extend(keys);
-                side.1.extend(rows);
                 let cx = JoinContext::from_arcs(
                     vl.snapshot().clone(),
                     vr.snapshot().clone(),
                     JoinSpec::Equality,
-                    &[],
+                    &funcs,
                 )
                 .unwrap();
                 let (maintained, stats) =
@@ -123,18 +164,25 @@ proptest! {
                 let fresh = recompute(&vl, &vr);
                 prop_assert_eq!(
                     &maintained.pairs, &fresh.pairs,
-                    "epoch ({}, {}) k={} stats={:?}", vl.epoch(), vr.epoch(), k, stats
+                    "epoch ({}, {}) op={} a={} k={} stats={:?}",
+                    vl.epoch(), vr.epoch(), op, a, k, stats
                 );
                 cached = maintained;
             } else {
                 // Delete: ids shift, so the maintainer does not apply —
-                // recompute becomes the new cached baseline.
-                if op == 2 {
+                // recompute becomes the new cached baseline. A delete that
+                // would empty a side is skipped: an empty relation has no
+                // join keys to equi-join on.
+                let side = op as usize - 3;
+                if shadow[side].0.iter().all(|&g| g == key) {
+                    continue;
+                }
+                if side == 0 {
                     vl = vl.delete_key(key).unwrap().0;
                 } else {
                     vr = vr.delete_key(key).unwrap().0;
                 }
-                let (keys, rows) = &mut shadow[op as usize - 2];
+                let (keys, rows) = &mut shadow[side];
                 let survivors: Vec<usize> = (0..keys.len()).filter(|&i| keys[i] != key).collect();
                 *rows = survivors.iter().map(|&i| rows[i].clone()).collect();
                 *keys = survivors.iter().map(|&i| keys[i]).collect();

@@ -322,17 +322,17 @@ proptest! {
         }
     }
 
-    /// The kernel's verdicts — with its SFS-ordered target sets, left-half
-    /// early abandon and partner memo — must equal the pre-split serial
-    /// path: id-ordered target sets, `cx.fill` into scratch, `k_dominates`
-    /// on the materialised row.
+    /// The leg kernel's verdicts and the oracle's — with its SFS-ordered
+    /// target sets, left-half early abandon and partner memo — must equal
+    /// the pre-split serial path: id-ordered target sets, `cx.fill` into
+    /// scratch, `k_dominates` on the materialised row.
     #[test]
     fn ordered_split_verification_equals_materialized_verification(
         r1 in arb_agg_relation(1, 2),
         r2 in arb_agg_relation(1, 2),
         k_off in 0usize..=2,
     ) {
-        use ksjq::core::{target_set, JoinedCheck, TargetCache};
+        use ksjq::core::{target_set, verify_legs, JoinedCheck, Legs, TargetCache};
         let cx = JoinContext::new(&r1, &r2, JoinSpec::Equality, &[AggFunc::Sum]).unwrap();
         let (lo, hi) = k_range(&cx);
         let k = (lo + k_off).min(hi);
@@ -344,7 +344,10 @@ proptest! {
         let mut chk = JoinedCheck::new(&cx, k);
         let mut scratch = vec![0.0; cx.d_joined()];
         let m = cx.materialize();
-        for i in 0..m.n().min(16) {
+        let probed = m.n().min(16);
+        let (legs, _, _) = Legs::gather(&cx, m.pairs[..probed].to_vec());
+        let (bits, _) = verify_legs(&cx, k, &legs, None, None).unwrap();
+        for (i, &bit) in bits.iter().enumerate() {
             let (u, v) = m.pairs[i];
             let cand = m.row(i).to_vec();
             // Pre-split one-sided left check: τ(u) in ascending id order,
@@ -356,6 +359,8 @@ proptest! {
                     expected |= ksjq::relation::k_dominates(&scratch, &cand, k);
                 }
             }
+            prop_assert_eq!(
+                bit, expected, "leg kernel candidate ({},{}) k={}", u, v, k);
             prop_assert_eq!(
                 chk.dominated_via_left(ltargets.get(u), &cand), expected,
                 "via_left candidate ({},{}) k={}", u, v, k);
@@ -485,9 +490,9 @@ proptest! {
         }
     }
 
-    /// The columnar verifier's verdicts must equal the row-major oracle's
-    /// on both of its entry points, over arbitrary aggregate joins and
-    /// arbitrary target sets.
+    /// The leg kernel restricted to a left universe and the columnar
+    /// verifier must return the row-major oracle's verdicts, over
+    /// arbitrary aggregate joins and arbitrary target sets.
     #[test]
     fn columnar_check_equals_oracle(
         r1 in arb_agg_relation(1, 2),
@@ -496,7 +501,7 @@ proptest! {
         lmask in 1u32..256,
         rmask in 1u32..256,
     ) {
-        use ksjq::core::{ColumnarCheck, JoinedCheck};
+        use ksjq::core::{verify_legs, ColumnarCheck, JoinedCheck, Legs};
         let cx = JoinContext::new(&r1, &r2, JoinSpec::Equality, &[AggFunc::Sum]).unwrap();
         let (lo, hi) = k_range(&cx);
         let k = (lo + k_off).min(hi);
@@ -505,12 +510,15 @@ proptest! {
         let mut oracle = JoinedCheck::new(&cx, k);
         let mut columnar = ColumnarCheck::new(&cx, k);
         let m = cx.materialize();
-        for i in 0..m.n().min(16) {
+        let probed = m.n().min(16);
+        let (legs, _, _) = Legs::gather(&cx, m.pairs[..probed].to_vec());
+        let (bits, _) = verify_legs(&cx, k, &legs, Some(&lt), None).unwrap();
+        for (i, &bit) in bits.iter().enumerate() {
             let cand = m.row(i).to_vec();
             prop_assert_eq!(
-                columnar.dominated_via_left(&lt, &cand),
+                bit,
                 oracle.dominated_via_left(&lt, &cand),
-                "via_left candidate {} k={}", i, k
+                "leg kernel within the universe, candidate {} k={}", i, k
             );
             prop_assert_eq!(
                 columnar.dominated_via_both(&lt, &rt, &cand),
