@@ -100,10 +100,11 @@ pub(crate) fn verify_parallel(
         let mut chk = LegCheck::new(ix);
         let mut cp = Checkpoint::new(deadline);
         let mut bits = Vec::with_capacity(range.len());
-        for &(u, v) in &pairs[range] {
-            cp.tick_shared(cancelled)?;
-            bits.push(chk.dominated(u, v));
-        }
+        chk.check_all(
+            &pairs[range],
+            || cp.tick_shared(cancelled),
+            |_, d| bits.push(d),
+        )?;
         Ok((bits, chk.counters()))
     })?;
     let mut dominated = Vec::with_capacity(pairs.len());

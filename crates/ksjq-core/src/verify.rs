@@ -63,27 +63,36 @@
 //!   position (a branch-free prescan over blocks of the span finds the
 //!   few positions that reach `need`).
 //! * **Bucketed**, once `τ(v′)` is loaded: every relevant bucket is
-//!   counted and its members reaching `k″2` are kept, by `≤` count
-//!   descending (a counting sort). A branch-free prescan over blocks of
+//!   counted (in one pass per attribute when none is counted yet and
+//!   every bucket is relevant) and its members reaching `k″2` are kept,
+//!   by `≤` count descending. A branch-free prescan over blocks of
 //!   targets picks out the live ones, and each scan stops at the first
 //!   member below `need`. Theta joins additionally skip members outside
 //!   `u`'s partner span.
 //!
 //! # On-demand loading
 //!
-//! A right leg starts unloaded. Its live targets are scanned directly
-//! until the next partner span would take the leg's direct work — `l2`
-//! comparisons per partner position read — past the cost of one sweep
-//! of the relevant buckets (`l2` comparisons per position, `n2·l2` when
-//! every right tuple can partner the universe). Then `τ(v′)` is loaded,
-//! reusing the buckets already counted, and every later target of the
-//! leg is scanned bucketed, from that target on. A leg with few
-//! candidates whose targets have few live partners (a one-row append, a
-//! cached pair with one new dominator leg) is never loaded; a leg shared
-//! by many candidates is, after at most one sweep's worth of direct
-//! reads. The switch point depends only on the leg's own candidates, and
-//! a leg never spans two workers, so verdicts and counters are the same
-//! at every thread count.
+//! A load costs one sweep of the relevant buckets (`l2` comparisons per
+//! position, `n2·l2` when every right tuple can partner the universe)
+//! and serves every candidate of the leg; a direct read costs `l2`
+//! comparisons per partner position and serves one. So a right leg
+//! starts unloaded and its live targets are scanned directly while the
+//! leg's direct work stays within one sweep, counting each candidate's
+//! direct work once for every candidate of the leg still to check (it
+//! included). When the next partner span would break that budget,
+//! `τ(v′)` is loaded, reusing the buckets already counted, and every
+//! later target of the leg is scanned bucketed, from that target on. A
+//! leg whose budget cannot cover even the cheapest partner span of the
+//! universe for its next candidate is loaded before that candidate when
+//! every bucket is relevant, so it is counted in one pass rather than
+//! bucket by bucket.
+//!
+//! A leg checked for a few candidates with few live partners (a one-row
+//! append, cached pairs with one new dominator leg) is never loaded. A
+//! leg shared by many candidates (grouping, the shard `CHECK`) is loaded
+//! at once or after a few spans. The switch point depends only on the
+//! leg's own candidates, and a leg never spans two workers, so verdicts
+//! and counters are the same at every thread count.
 //!
 //! Nothing in the kernel needs a leg to be a tuple of the relations it
 //! is checked against: the sweeps start from the leg's values, and a
@@ -108,6 +117,7 @@ use ksjq_relation::{
     accumulate_le_lt, dom_counts, dom_counts_partial, DomCounts, Relation, TupleId,
 };
 use std::borrow::Cow;
+use std::cmp::Reverse;
 use std::ops::Range;
 use std::time::Instant;
 
@@ -254,9 +264,15 @@ pub(crate) struct LegIndex<'b, 'a> {
     /// of the tuple at scan position `p` is `rcols[j·n2 + p]`, so every
     /// bucket is a contiguous stretch of each column.
     rcols: Vec<f64>,
+    /// Is every bucket relevant? A load that finds no bucket counted
+    /// then counts them all in one pass per attribute.
+    all_relevant: bool,
     /// The cost of one sweep: `l2` comparisons per position of the
     /// relevant buckets.
     sweep_cost: u64,
+    /// The cost of the cheapest partner span a universe tuple has: the
+    /// least direct work a live target can take.
+    min_span_cost: u64,
 }
 
 impl<'b, 'a> LegIndex<'b, 'a> {
@@ -397,6 +413,17 @@ impl<'b, 'a> LegIndex<'b, 'a> {
             .filter(|(&r, _)| r)
             .map(|(_, w)| w[1] - w[0])
             .sum();
+        let span_len = |u: usize| match span.get(u) {
+            Some(&(lo, hi)) => hi - lo,
+            None => bucket_pos[slot[u] as usize + 1] - bucket_pos[slot[u] as usize],
+        };
+        let min_span = match &pool {
+            None => (0..n1)
+                .filter(|&u| slot[u] != NO_BUCKET)
+                .map(span_len)
+                .min(),
+            Some(pool) => pool.iter().map(|&u| span_len(u as usize)).min(),
+        };
         let counters = CheckCounters {
             attr_cmps: (n_legs * n * params.l1) as u64,
             ..CheckCounters::default()
@@ -411,13 +438,15 @@ impl<'b, 'a> LegIndex<'b, 'a> {
                 bucket_pos,
                 slot,
                 span,
-                relevant,
                 left: left_ranges,
                 members,
                 lagg,
                 ragg,
                 rcols,
+                all_relevant: relevant.iter().all(|&r| r),
+                relevant,
                 sweep_cost: u64::from(relevant_positions) * params.l2 as u64,
+                min_span_cost: u64::from(min_span.unwrap_or(0)) * params.l2 as u64,
             },
             counters,
         ))
@@ -520,20 +549,25 @@ pub(crate) struct LegCheck<'i, 'b, 'a> {
     /// Right-local `≤`/`<` counts against the leg, by scan position.
     rle: Vec<u32>,
     rlt: Vec<u32>,
+    /// Is any bucket counted for the current leg?
+    counted: bool,
     /// Is `τ(leg)` loaded into `right`?
     loaded: bool,
     /// The direct work spent on `leg`: `l2` comparisons per partner
     /// position the direct scan reads. Counting a bucket is not direct
     /// work: a load reuses the counts.
     spent: u64,
+    /// `spent` when the current candidate's check began.
+    before: u64,
+    /// The leg's candidates still to check, the current one included.
+    to_check: u64,
     right: Vec<Member>,
     /// `right[bucket_start[b]..bucket_start[b + 1]]` is bucket `b`.
     bucket_start: Vec<u32>,
-    /// One more than bucket `b`'s highest `≤` count against the leg (once
-    /// loaded, its first member's). Valid for counted buckets only.
+    /// One more than bucket `b`'s highest `≤` count against the leg; once
+    /// loaded, 0 when no member reaches `k″2` (no target's `need` is
+    /// below it). Valid for counted buckets only.
     top: Vec<u32>,
-    /// Counting-sort cursors of [`Self::load`], one per `≤` count.
-    next: Vec<u32>,
     cand_aggs: Vec<f64>,
     counters: CheckCounters,
 }
@@ -548,12 +582,14 @@ impl<'i, 'b, 'a> LegCheck<'i, 'b, 'a> {
             filled: vec![0; ix.buckets()],
             rle: vec![0; n2],
             rlt: vec![0; n2],
+            counted: false,
             loaded: false,
             spent: 0,
+            before: 0,
+            to_check: 0,
             right: Vec::new(),
             bucket_start: vec![0; ix.buckets() + 1],
             top: vec![0; ix.buckets()],
-            next: vec![0; ix.cx.l2() + 1],
             cand_aggs: vec![0.0; ix.cx.a()],
             counters: CheckCounters::default(),
         }
@@ -582,6 +618,7 @@ impl<'i, 'b, 'a> LegCheck<'i, 'b, 'a> {
         self.top[b] = le.iter().max().map_or(0, |&c| c + 1);
         self.counters.attr_cmps += (r.len() * l2) as u64;
         self.filled[b] = self.stamp;
+        self.counted = true;
     }
 
     /// Load the current leg's `τ(v′)` over the relevant buckets: count
@@ -589,6 +626,20 @@ impl<'i, 'b, 'a> LegCheck<'i, 'b, 'a> {
     /// bucket `≤`-count descending, ties by position.
     fn load(&mut self) {
         let ix = self.ix;
+        if !self.counted && ix.all_relevant {
+            // Nothing counted yet and every bucket needed: one stride-1
+            // pass per attribute over the whole scan order.
+            let (n2, l2) = (ix.cx.right().n(), ix.cx.l2());
+            let probe = &ix.right_leg(self.leg)[..l2];
+            self.rle.fill(0);
+            self.rlt.fill(0);
+            for (j, &p) in probe.iter().enumerate() {
+                accumulate_le_lt(&ix.rcols[j * n2..][..n2], p, &mut self.rle, &mut self.rlt);
+            }
+            self.counters.attr_cmps += (n2 * l2) as u64;
+            self.filled.fill(self.stamp);
+            self.counted = true;
+        }
         self.right.clear();
         for b in 0..ix.buckets() {
             self.bucket_start[b] = self.right.len() as u32;
@@ -596,51 +647,66 @@ impl<'i, 'b, 'a> LegCheck<'i, 'b, 'a> {
                 continue;
             }
             self.fill(b);
-            // Counting sort: the counts are at most `l2`. `next[c]` is
-            // where the next member with count `c` goes.
-            self.next.fill(0);
-            for pos in ix.bucket(b) {
-                self.next[self.rle[pos] as usize] += 1;
-            }
-            let mut at = self.right.len() as u32;
-            for c in (ix.k2_pp..self.next.len()).rev() {
-                (self.next[c], at) = (at, at + self.next[c]);
-            }
-            self.right.resize(
-                at as usize,
-                Member {
-                    at: 0,
-                    le: 0,
-                    lt: 0,
-                },
-            );
-            for pos in ix.bucket(b) {
-                let c = self.rle[pos] as usize;
-                if c >= ix.k2_pp {
-                    self.right[self.next[c] as usize] = Member {
+            let from = self.right.len();
+            let (rle, rlt) = (&self.rle, &self.rlt);
+            self.right.extend(
+                ix.bucket(b)
+                    .filter(|&pos| rle[pos] as usize >= ix.k2_pp)
+                    .map(|pos| Member {
                         at: pos as u32,
-                        le: c as u16,
-                        lt: self.rlt[pos] as u16,
-                    };
-                    self.next[c] += 1;
-                }
-            }
+                        le: rle[pos] as u16,
+                        lt: rlt[pos] as u16,
+                    }),
+            );
+            let members = &mut self.right[from..];
+            members.sort_unstable_by_key(|m| (Reverse(m.le), m.at));
+            self.top[b] = members.first().map_or(0, |m| m.le as u32 + 1);
         }
         self.bucket_start[ix.buckets()] = self.right.len() as u32;
         self.loaded = true;
     }
 
+    /// Check `pairs` (leg indices, grouped by right leg) in order,
+    /// calling `verdict(q, dominated)` for each position `q`; `tick` runs
+    /// before every check and stops the run with its error.
+    pub(crate) fn check_all(
+        &mut self,
+        pairs: &[(u32, u32)],
+        mut tick: impl FnMut() -> CoreResult<()>,
+        mut verdict: impl FnMut(usize, bool),
+    ) -> CoreResult<()> {
+        let mut q = 0;
+        for leg in pairs.chunk_by(|p, r| p.1 == r.1) {
+            for (i, &(u, v)) in leg.iter().enumerate() {
+                tick()?;
+                verdict(q, self.dominated(u, v, leg.len() - i));
+                q += 1;
+            }
+        }
+        Ok(())
+    }
+
     /// Is candidate `u′ ⋈ v′` (leg indices) k-dominated by some `u ⋈ v`
-    /// with `u ∈ τ(u′)`, `v ∈ τ(v′)`? Calls sharing `v′` should be
-    /// consecutive.
-    pub(crate) fn dominated(&mut self, u_prime: u32, v_prime: u32) -> bool {
+    /// with `u ∈ τ(u′)`, `v ∈ τ(v′)`? `to_check` counts the candidates
+    /// of `v′` still to check, this one included; calls sharing `v′`
+    /// should be consecutive.
+    pub(crate) fn dominated(&mut self, u_prime: u32, v_prime: u32, to_check: usize) -> bool {
         if self.leg != v_prime {
             self.leg = v_prime;
             self.stamp += 1;
+            self.counted = false;
             self.loaded = false;
             self.spent = 0;
         }
+        (self.before, self.to_check) = (self.spent, to_check as u64);
         let ix = self.ix;
+        // A leg whose budget cannot cover even the cheapest span for this
+        // candidate loads at its first live target. When every bucket is
+        // relevant, loading now counts them in one pass instead of one
+        // bucket at a time.
+        if !self.loaded && ix.all_relevant && !self.fits(ix.min_span_cost) {
+            self.load();
+        }
         let cx = ix.cx;
         let targets = ix.left_targets(u_prime);
         self.counters.targets_pruned += (cx.left().n() - targets.len()) as u64;
@@ -704,15 +770,23 @@ impl<'i, 'b, 'a> LegCheck<'i, 'b, 'a> {
         false
     }
 
+    /// Would `cost` more direct work on the current candidate keep the
+    /// leg within one sweep, once the candidate's direct work so far plus
+    /// `cost` is charged for each of the leg's candidates still to check?
+    fn fits(&self, cost: u64) -> bool {
+        let projected = (self.spent - self.before + cost).saturating_mul(self.to_check);
+        self.before.saturating_add(projected) <= self.ix.sweep_cost
+    }
+
     /// Can the direct scan read target `m`'s partner span within the
-    /// leg's budget of one sweep? Charges the span if so.
+    /// leg's budget ([`Self::fits`])? Charges the span if so.
     fn afford(&mut self, m: Member) -> bool {
         let ix = self.ix;
-        let spent = self.spent + (ix.partners(m.at).len() * ix.cx.l2()) as u64;
-        if spent > ix.sweep_cost {
+        let cost = (ix.partners(m.at).len() * ix.cx.l2()) as u64;
+        if !self.fits(cost) {
             return false;
         }
-        self.spent = spent;
+        self.spent += cost;
         true
     }
 
@@ -809,10 +883,7 @@ fn run_checks(
     if threads <= 1 {
         let mut chk = LegCheck::new(ix);
         let mut cp = Checkpoint::new(deadline);
-        for (q, &(u, v)) in pairs.iter().enumerate() {
-            cp.tick()?;
-            verdict(q, chk.dominated(u, v));
-        }
+        chk.check_all(pairs, || cp.tick(), verdict)?;
         return Ok(chk.counters());
     }
     let (bits, counters) = crate::parallel::verify_parallel(ix, pairs, threads, deadline)?;
@@ -929,9 +1000,8 @@ pub fn verify_candidates(
     Ok(counters)
 }
 
-/// Is each candidate of `legs` k-dominated by some joined tuple `u ⋈ v`
-/// of `cx` with `u` in `universe` (any left tuple when `None`)? One bit
-/// per pair, in `legs.pairs` order, from the same leg kernel as
+/// Is each candidate of `legs` k-dominated by some joined tuple of `cx`?
+/// One bit per pair, in `legs.pairs` order, from the same leg kernel as
 /// [`verify_candidates`] (serial). The legs need not belong to `cx`'s
 /// relations: this is a shard's half of the distributed `CHECK`, run on
 /// another shard's candidates.
@@ -942,14 +1012,12 @@ pub fn verify_candidates(
 ///
 /// # Panics
 ///
-/// If a leg list is not a whole number of `l + a`-value legs, a pair
-/// names a leg that is not there, or `universe` names a tuple the left
-/// relation does not have. Callers validate wire input first.
+/// If a leg list is not a whole number of `l + a`-value legs, or a pair
+/// names a leg that is not there. Callers validate wire input first.
 pub fn verify_legs(
     cx: &JoinContext<'_>,
     k: usize,
     legs: &Legs,
-    universe: Option<&[u32]>,
     deadline: Option<Instant>,
 ) -> CoreResult<(Vec<bool>, CheckCounters)> {
     let params = validate_k(cx, k)?;
@@ -966,10 +1034,6 @@ pub fn verify_legs(
         legs.pairs.iter().all(|&(u, v)| u < nl && v < nr),
         "pairs must name existing legs"
     );
-    assert!(
-        universe.is_none_or(|ids| ids.iter().all(|&t| (t as usize) < cx.left().n())),
-        "the universe must name left tuples"
-    );
     let all: Vec<u32> = (0..legs.pairs.len() as u32).collect();
     let order = by_right_leg(&all, nr as usize, |&p| legs.pairs[p as usize].1);
     let sorted: Vec<(u32, u32)> = order.iter().map(|&p| legs.pairs[p as usize]).collect();
@@ -977,14 +1041,8 @@ pub fn verify_legs(
     if sorted.is_empty() {
         return Ok((bits, CheckCounters::default()));
     }
-    let (ix, mut counters) = LegIndex::build(
-        cx,
-        &params,
-        (&legs.left, &legs.right),
-        universe,
-        1,
-        deadline,
-    )?;
+    let (ix, mut counters) =
+        LegIndex::build(cx, &params, (&legs.left, &legs.right), None, 1, deadline)?;
     counters.absorb(run_checks(&ix, &sorted, 1, deadline, |q, dominated| {
         bits[order[q] as usize] = dominated
     })?);
@@ -1644,10 +1702,10 @@ mod tests {
         assert_eq!(c.attr_cmps, 2 + 10 * 2);
     }
 
-    /// The columnar verifier and the leg kernel (restricted to a left
-    /// universe) must return the oracle's verdicts, for an aggregate join
-    /// over random data and every valid k — including arbitrary
-    /// (restricted) target sets.
+    /// The columnar verifier and the leg kernel (its left target sets
+    /// restricted to a universe, as maintenance uses it) must return the
+    /// oracle's verdicts, for an aggregate join over random data and
+    /// every valid k — including arbitrary (restricted) target sets.
     #[test]
     fn columnar_matches_oracle_on_aggregate_join() {
         let schema = || Schema::uniform_agg(1, 2).unwrap();
@@ -1672,6 +1730,7 @@ mod tests {
         let cx = JoinContext::new(&r1, &r2, JoinSpec::Equality, &[AggFunc::Sum]).unwrap();
         let m = cx.materialize();
         for k in 4..=cx.d_joined() {
+            let params = validate_k(&cx, k).unwrap();
             let mut oracle = JoinedCheck::new(&cx, k);
             let mut columnar = ColumnarCheck::new(&cx, k);
             for (i, &(u, v)) in m.pairs.iter().enumerate().take(24) {
@@ -1679,11 +1738,14 @@ mod tests {
                 // Restricted target sets exercise the mask / span logic.
                 let lt: Vec<u32> = (0..r1.n() as u32).filter(|t| t % 2 == u % 2).collect();
                 let rt: Vec<u32> = (0..r2.n() as u32).filter(|t| t % 3 == v % 3).collect();
-                let (legs, _, _) = Legs::gather(&cx, vec![(u, v)]);
-                let (bits, _) = verify_legs(&cx, k, &legs, Some(&lt), None).unwrap();
+                let mut bit = None;
+                check_pairs(&cx, &params, &[(u, v)], Some(&lt), 1, None, |_, _, d| {
+                    bit = Some(d)
+                })
+                .unwrap();
                 assert_eq!(
-                    bits[0],
-                    oracle.dominated_via_left(&lt, &cand),
+                    bit,
+                    Some(oracle.dominated_via_left(&lt, &cand)),
                     "legs within ({u},{v}) k={k}"
                 );
                 assert_eq!(
@@ -1780,20 +1842,18 @@ mod tests {
             LegIndex::build(cx, &params, (&legs.left, &legs.right), universe, 1, None).unwrap();
         ix.sweep_cost = budget;
         let mut chk = LegCheck::new(&ix);
-        let bits = legs
-            .pairs
-            .iter()
-            .map(|&(u, v)| chk.dominated(u, v))
-            .collect();
+        let mut bits = Vec::new();
+        chk.check_all(&legs.pairs, || Ok(()), |_, d| bits.push(d))
+            .unwrap();
         counters.absorb(chk.counters());
         (bits, counters)
     }
 
     /// The direct and the bucketed scan must give identical verdict bits
     /// over the same legs — equal to the oracle's and to the on-demand
-    /// switch's — on equality, theta and Cartesian joins, with and
-    /// without aggregates, over every left tuple and over a restricted
-    /// left universe.
+    /// switch's ([`check_pairs`]) — on equality, theta and Cartesian
+    /// joins, with and without aggregates, over every left tuple and over
+    /// a restricted left universe.
     #[test]
     fn direct_and_bucketed_scans_agree() {
         use ksjq_join::ThetaOp;
@@ -1838,8 +1898,17 @@ mod tests {
                         let (bucketed, bc) = forced(&cx, k, &legs, universe, 0);
                         assert_eq!(direct, bucketed, "{label}");
                         paths_differ |= dc != bc;
-                        let (auto, _) = verify_legs(&cx, k, &legs, universe, None).unwrap();
-                        assert_eq!(auto, direct, "{label}");
+                        let params = validate_k(&cx, k).unwrap();
+                        let mut auto = Vec::new();
+                        check_pairs(&cx, &params, &m.pairs, universe, 1, None, |u, v, d| {
+                            auto.push(((u, v), d))
+                        })
+                        .unwrap();
+                        auto.sort_unstable();
+                        let mut want: Vec<_> =
+                            m.pairs.iter().copied().zip(direct.clone()).collect();
+                        want.sort_unstable();
+                        assert_eq!(auto, want, "{label}");
                         let mut oracle = JoinedCheck::new(&cx, k);
                         let targets = universe.unwrap_or(&all);
                         for (i, &bit) in direct.iter().enumerate() {
@@ -1856,9 +1925,11 @@ mod tests {
     /// Every distinct leg is swept at most once, however many candidates
     /// share it: with every `τ(v′)` loaded, at `a = 0` the comparisons are
     /// `n·l` per distinct left leg plus `n·l` per distinct right leg, and
-    /// nothing else. On demand, a right leg spends at most one sweep's
-    /// worth of direct work before it is loaded, and the counters do not
-    /// depend on the thread count.
+    /// nothing else. On demand, both right legs here are shared by more
+    /// candidates than one sweep's budget covers (every candidate would
+    /// read a whole 5-tuple group), so each is loaded before its first
+    /// candidate, without direct reads; the counters do not depend on
+    /// the thread count.
     #[test]
     fn each_leg_is_swept_at_most_once() {
         let rows: Vec<Vec<f64>> = (0..5).map(|i| vec![i as f64, 4.0 - i as f64]).collect();
@@ -1871,7 +1942,7 @@ mod tests {
         let (_, loaded) = forced(&cx, 3, &legs, None, 0);
         assert_eq!(loaded.attr_cmps, 3 * 5 * 2 + 2 * 5 * 2, "{loaded:?}");
         let c = verify_candidates(&cx, 3, &pairs, 1, None, |_, _| {}).unwrap();
-        assert!(c.attr_cmps <= 3 * 5 * 2 + 2 * 2 * 5 * 2, "{c:?}");
+        assert_eq!(c, loaded);
         let threaded = verify_candidates(&cx, 3, &pairs, 2, None, |_, _| {}).unwrap();
         assert_eq!(threaded, c);
     }
@@ -1898,7 +1969,7 @@ mod tests {
         // Checking a join's own pairs as legs gives the kernel's verdicts.
         let m = cx.materialize();
         let (all, _, _) = Legs::gather(&cx, m.pairs.clone());
-        let (bits, _) = verify_legs(&cx, 4, &all, None, None).unwrap();
+        let (bits, _) = verify_legs(&cx, 4, &all, None).unwrap();
         let mut kept = Vec::new();
         verify_candidates(&cx, 4, &m.pairs, 1, None, |u, v| kept.push((u, v))).unwrap();
         kept.sort_unstable();

@@ -2203,7 +2203,7 @@ fn check(
         right: legs.right.concat(),
         pairs: legs.pairs,
     };
-    match ksjq_core::verify_legs(&cx, k, &legs, None, deadline) {
+    match ksjq_core::verify_legs(&cx, k, &legs, deadline) {
         Ok((bits, counters)) => {
             shared
                 .dom_tests

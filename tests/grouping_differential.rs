@@ -255,7 +255,7 @@ fn foreign_probe_legs_match_brute_force() {
             let (probes, _, _) = Legs::gather(&fx, fpairs.clone());
             for k in k_min(&cx)..=k_max(&cx) {
                 let label = format!("a={a} {variant} k={k}");
-                let (bits, _) = verify_legs(&cx, k, &probes, None, None).unwrap();
+                let (bits, _) = verify_legs(&cx, k, &probes, None).unwrap();
                 for (&(u, v), &bit) in fpairs.iter().zip(&bits) {
                     let cand = fx.joined_row(u, v);
                     let expect = (0..resident.n()).any(|i| k_dominates(resident.row(i), &cand, k));
@@ -271,7 +271,7 @@ fn foreign_probe_legs_match_brute_force() {
                     .map(|&(u, v)| (u.0, v.0))
                     .collect();
                 let (own, _, _) = Legs::gather(&cx, skyline);
-                let (bits, _) = verify_legs(&cx, k, &own, None, None).unwrap();
+                let (bits, _) = verify_legs(&cx, k, &own, None).unwrap();
                 assert!(bits.iter().all(|&b| !b), "{label}: a resident skyline pair");
             }
         }
