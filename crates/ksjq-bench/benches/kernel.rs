@@ -193,10 +193,11 @@ fn bench_classification(c: &mut Criterion) {
     let p = validate_k(&cx, params.k).unwrap();
     let mut group = c.benchmark_group("kernel_classification");
     group.sample_size(10);
-    for (name, algo) in [("tsa", KdomAlgo::Tsa), ("osa", KdomAlgo::Osa)] {
-        group.bench_function(name, |b| b.iter(|| classify(&cx, &p, algo).tallies(0)));
-    }
-    group.bench_function("tsa_4_threads", |b| {
+    // Classification has one algorithm; the `KdomAlgo` argument is unused.
+    group.bench_function("serial", |b| {
+        b.iter(|| classify(&cx, &p, KdomAlgo::Tsa).tallies(0))
+    });
+    group.bench_function("4_threads", |b| {
         b.iter(|| classify_parallel(&cx, &p, KdomAlgo::Tsa, 4).tallies(0))
     });
     group.finish();

@@ -5,7 +5,9 @@
 //! (default 0.33 — comparisons and shapes are preserved, wall-clock times
 //! shrink roughly quadratically); `--full` runs the paper's exact sizes.
 //! `--algo` restricts which KSJQ algorithms run, `--kdom` picks the
-//! single-relation k-dominant subroutine, and `--goal` overrides the
+//! naive algorithm's single-relation k-dominant skyline subroutine (the
+//! SS/SN/NN classification of the other algorithms has no such choice),
+//! and `--goal` overrides the
 //! per-figure exact-k goal of the synthetic sweeps (all accept the names
 //! their `Display`/`FromStr` impls round-trip, e.g. `--goal atleast:10`).
 //! Each configuration prints the prepared plan's `explain` line before
@@ -138,7 +140,8 @@ fn parse_args() -> Opts {
                      \x20        delta (incremental maintenance vs recompute; --json writes\n\
                      \x20        the BENCH_delta.json baseline)\n\
                      algos:   naive grouping dominator-based (comma-separated)\n\
-                     kdom:    naive osa tsa tsa-presort\n\
+                     kdom:    naive osa tsa tsa-presort (the naive algorithm's k-dominant\n\
+                     \x20        skyline subroutine; classification does not use it)\n\
                      goal:    exact:K | skyline | atleast:D[:S] | atmost:D[:S]\n\
                      \x20        (overrides the synthetic sweeps' per-figure exact k)\n\
                      --serve  run as a ksjq-server daemon with the demo catalog\n\

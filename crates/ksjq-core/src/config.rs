@@ -6,8 +6,9 @@ use std::time::{Duration, Instant};
 /// Tuning knobs for query execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Config {
-    /// Which single-relation k-dominant skyline algorithm classification
-    /// and the naïve path use. Defaults to the Two-Scan Algorithm.
+    /// Which single-relation k-dominant skyline algorithm the naïve path
+    /// uses. Defaults to the Two-Scan Algorithm. SS/SN/NN classification
+    /// does not use it (see [`classify`](mod@crate::classify)).
     pub kdom: KdomAlgo,
     /// The naïve algorithm materialises the join when
     /// `|R1 ⋈ R2| · d_joined` does not exceed this many `f64` values
@@ -15,7 +16,8 @@ pub struct Config {
     /// skyline and cannot attribute a separate join time.
     pub materialize_limit: usize,
     /// Worker threads for the parallel extension (1 = serial, the paper's
-    /// setting; >1 parallelises classification and candidate verification).
+    /// setting; >1 splits classification's tuples and candidate
+    /// verification over scoped workers).
     pub threads: usize,
     /// Cooperative cancellation deadline: execution loops tick a
     /// [`Checkpoint`](crate::cancel::Checkpoint) against this instant and

@@ -15,7 +15,7 @@
 //! every one of them.
 
 use crate::cancel::{check_deadline, Checkpoint};
-use crate::classify::classify_parallel;
+use crate::classify::classify_within;
 use crate::config::Config;
 use crate::error::CoreResult;
 use crate::grouping::{absorb_counters, collect_candidates, record_tallies, require_strict_aggs};
@@ -40,7 +40,7 @@ pub fn ksjq_dominator_based(
 
     // Phase 1: classification ("grouping time").
     let t = Instant::now();
-    let cls = classify_parallel(cx, &params, cfg.kdom, cfg.threads);
+    let cls = classify_within(cx, &params, cfg.threads, cfg.deadline)?;
     record_tallies(&cls, &mut stats);
     stats.phases.grouping = t.elapsed();
 

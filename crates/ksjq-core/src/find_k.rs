@@ -15,7 +15,7 @@
 //!   NN-pruning (Theorem 4, always sound).
 
 use crate::cancel::check_deadline;
-use crate::classify::{classify_parallel, pair_counts};
+use crate::classify::{classify_within, pair_counts};
 use crate::config::Config;
 use crate::error::{CoreError, CoreResult};
 use crate::grouping::ksjq_grouping;
@@ -117,7 +117,7 @@ impl Prober<'_, '_> {
         check_deadline(self.cfg.deadline)?;
         let params = validate_k(self.cx, k).expect("k in range");
         let t = Instant::now();
-        let cls = classify_parallel(self.cx, &params, self.cfg.kdom, self.cfg.threads);
+        let cls = classify_within(self.cx, &params, self.cfg.threads, self.cfg.deadline)?;
         let (yes, likely, maybe) = pair_counts(self.cx, &cls);
         self.report_phases.grouping += t.elapsed();
         self.bounds += 1;

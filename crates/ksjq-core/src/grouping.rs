@@ -24,7 +24,7 @@
 //! "likely" pairs. The two-sided argument above never uses the legs'
 //! classes, so it covers these pairs unchanged.
 
-use crate::classify::{classify_parallel, Category, Classification};
+use crate::classify::{classify_within, Category, Classification};
 use crate::config::Config;
 use crate::error::{CoreError, CoreResult};
 use crate::output::{finish, KsjqOutput};
@@ -124,7 +124,7 @@ fn classify_and_collect(
     stats.counts.joined_pairs = cx.count_pairs();
 
     let t = Instant::now();
-    let cls = classify_parallel(cx, &params, cfg.kdom, cfg.threads);
+    let cls = classify_within(cx, &params, cfg.threads, cfg.deadline)?;
     record_tallies(&cls, stats);
     stats.phases.grouping = t.elapsed();
 

@@ -11,9 +11,9 @@
 //! same kernel work regardless of thread count, and the verdicts are
 //! concatenated in candidate order.
 //!
-//! The classification phase shards the same way — see
-//! [`crate::classify::classify_parallel`], which the algorithm drivers
-//! call when `Config::threads > 1`. Candidate collection stays serial: it
+//! The classification phase shards too: [`classify`](mod@crate::classify) splits the
+//! tuples of both sides over the same `even_ranges`/`run_ranges`
+//! workers when `Config::threads > 1`. Candidate collection stays serial: it
 //! is a small fraction of the runtime (see the figures' phase breakdown).
 
 use crate::cancel::Checkpoint;

@@ -188,9 +188,10 @@ pub struct QueryPlan {
     pub goal: Goal,
     /// Which KSJQ algorithm executes the query (default: grouping).
     pub algorithm: Algorithm,
-    /// Single-relation k-dominant skyline subroutine override; merged
-    /// onto the effective config at prepare time, so it composes with an
-    /// engine-level [`Config`] instead of replacing it.
+    /// Single-relation k-dominant skyline subroutine override for the
+    /// naïve algorithm; merged onto the effective config at prepare time,
+    /// so it composes with an engine-level [`Config`] instead of
+    /// replacing it.
     pub kdom: Option<KdomAlgo>,
     /// Execution-config override; `None` uses the engine's default.
     pub config: Option<Config>,
@@ -249,7 +250,8 @@ impl QueryPlan {
         self
     }
 
-    /// Single-relation k-dominant skyline subroutine. Unlike
+    /// Single-relation k-dominant skyline subroutine of the naïve
+    /// algorithm (classification does not use one). Unlike
     /// [`config`](Self::config) this overrides *only* the subroutine —
     /// the engine's other config knobs (threads, materialisation limit)
     /// stay in effect.

@@ -2,8 +2,9 @@
 //!
 //! The KSJQ optimizations (paper Sec. 5.2) hinge on computing, for every
 //! join group of a base relation, which tuples are k′-dominant *within the
-//! group*. This module provides that primitive; the SS/SN/NN classification
-//! built on top of it lives in `ksjq-core`.
+//! group*. This module provides that primitive as a stand-alone baseline;
+//! `ksjq-core`'s SS/SN/NN classification does not call it, but fuses the
+//! per-group and global tests into one prefix-pruned scan per tuple.
 
 use crate::{k_dominant_skyline, KdomAlgo, MatrixView};
 use ksjq_relation::Relation;

@@ -12,8 +12,9 @@
 //!   including a streaming two-scan variant that never materialises its
 //!   input (used by the naïve KSJQ join path where the joined relation can
 //!   exceed 10⁸ tuples).
-//! * [`grouped`] — per-join-group k-dominant skylines, the building block of
-//!   the paper's SS/SN/NN classification.
+//! * [`grouped`] — per-join-group k-dominant skylines (the SS/SN/NN
+//!   classification itself lives in `ksjq-core` and scans prefix lists
+//!   instead).
 //!
 //! All algorithms work over any [`RowAccess`] implementor. A
 //! [`ksjq_relation::Relation`] stores its values attribute-major, so
@@ -142,21 +143,6 @@ pub fn k_dominant_skyline<R: RowAccess>(
     }
 }
 
-/// Is `row` k-dominated by any member of `members` (ids into `rows`),
-/// skipping the member equal to `skip` (use `u32::MAX` to skip nothing)?
-#[inline]
-pub fn k_dominated_by_any<R: RowAccess>(
-    rows: &R,
-    row: &[f64],
-    members: &[u32],
-    k: usize,
-    skip: u32,
-) -> bool {
-    members
-        .iter()
-        .any(|&m| m != skip && ksjq_relation::k_dominates(rows.row(m), row, k))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,15 +179,5 @@ mod tests {
             KdomAlgo::TsaPresort
         );
         assert!("two-scan".parse::<KdomAlgo>().is_err());
-    }
-
-    #[test]
-    fn dominated_by_any() {
-        let data = [1.0, 1.0, 5.0, 5.0];
-        let m = MatrixView::new(2, &data);
-        assert!(k_dominated_by_any(&m, &[2.0, 2.0], &[0, 1], 2, u32::MAX));
-        // Skipping the only dominator flips the answer.
-        assert!(!k_dominated_by_any(&m, &[2.0, 2.0], &[0, 1], 2, 0));
-        assert!(!k_dominated_by_any(&m, &[0.0, 0.0], &[0, 1], 1, u32::MAX));
     }
 }

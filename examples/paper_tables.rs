@@ -1,11 +1,13 @@
 //! Reproduces the paper's worked example end to end: Tables 1–3
-//! (plain KSJQ, k = 7) and Table 6 (aggregate KSJQ, k = 6).
+//! (plain KSJQ, k = 7) and Table 6 (aggregate KSJQ, k = 6). It exits
+//! non-zero unless the SS/SN/NN columns of Tables 1 and 2 and the
+//! skylines of Tables 3 and 6 match the paper's.
 //!
 //! ```sh
 //! cargo run --example paper_tables
 //! ```
 
-use ksjq::core::{classify, validate_k};
+use ksjq::core::{classify, validate_k, Category};
 use ksjq::datagen::paper_tables::{TABLE1_FNO, TABLE2_FNO};
 use ksjq::prelude::*;
 
@@ -16,6 +18,19 @@ fn main() -> CoreResult<()> {
     let cx = JoinContext::new(&pf.outbound, &pf.inbound, JoinSpec::Equality, &[])?;
     let params = validate_k(&cx, 7)?;
     let cls = classify(&cx, &params, KdomAlgo::Tsa);
+    // The paper's category columns, with flight 18 corrected from SS1 to
+    // SN1 (see the note printed at the end).
+    use Category::{NN, SN, SS};
+    assert_eq!(
+        cls.left,
+        [SS, NN, SN, NN, SN, SS, SN, SN, NN],
+        "Table 1 categories (flight = 11 + index)"
+    );
+    assert_eq!(
+        cls.right,
+        [SS, NN, SN, NN, SN, SS, SN, SN],
+        "Table 2 categories (flight = 21 + index)"
+    );
 
     println!("Table 1: flights from city A (k'1 = {})", params.k1_prime);
     println!(

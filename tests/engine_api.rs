@@ -300,3 +300,42 @@ fn find_k_goals_match_direct_calls() {
         );
     }
 }
+
+/// A deadline that passes during classification stops it: the grouping
+/// algorithm, given 1 ms on an input whose classification takes far
+/// longer, returns `DeadlineExceeded` in under a quarter of the time an
+/// undeadlined classification of the same input takes.
+#[test]
+fn deadline_stops_classification() {
+    use ksjq::core::{classify_parallel, validate_k};
+    use std::time::{Duration, Instant};
+    let spec = DatasetSpec {
+        n: 4000,
+        agg_attrs: 2,
+        local_attrs: 5,
+        groups: 1,
+        data_type: DataType::AntiCorrelated,
+        seed: 42,
+    };
+    let r1 = spec.generate();
+    let r2 = DatasetSpec { seed: 1042, ..spec }.generate();
+    let cx = JoinContext::new(&r1, &r2, JoinSpec::Equality, &[AggFunc::Sum; 2]).unwrap();
+    let k = 11;
+    let p = validate_k(&cx, k).unwrap();
+    let start = Instant::now();
+    classify_parallel(&cx, &p, KdomAlgo::Tsa, 1);
+    let full = start.elapsed();
+
+    let start = Instant::now();
+    let cfg = Config {
+        deadline: Some(start + Duration::from_millis(1)),
+        ..Config::default()
+    };
+    let err = ksjq_grouping(&cx, k, &cfg).unwrap_err();
+    let stopped = start.elapsed();
+    assert_eq!(err, CoreError::DeadlineExceeded);
+    assert!(
+        stopped * 4 < full,
+        "stopped after {stopped:?}; an undeadlined classification takes {full:?}"
+    );
+}

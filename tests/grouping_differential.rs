@@ -10,11 +10,15 @@
 //! progressive mode, and the kernel counters must not depend on the
 //! thread count.
 //!
+//! The SS/SN/NN classification that feeds the kernel is checked on its
+//! own against Defs. 1–3 evaluated by brute force over all pairs, on the
+//! same shapes and join kinds.
+//!
 //! The same kernel verifies *foreign* candidates — legs of another
 //! shard's relations — for the distributed `CHECK`; those verdicts are
 //! compared with a brute-force scan of every local joined tuple.
 
-use ksjq::core::{k_max, k_min, verify_legs, Legs};
+use ksjq::core::{classify_parallel, k_max, k_min, validate_k, verify_legs, Category, Legs};
 use ksjq::prelude::*;
 use ksjq::relation::k_dominates;
 use rand::rngs::StdRng;
@@ -279,5 +283,177 @@ fn foreign_probe_legs_match_brute_force() {
     assert!(
         0 < dominated && dominated < probed,
         "{dominated} of {probed} foreign probes dominated: the verdicts never vary"
+    );
+}
+
+/// Defs. 1–3 for one side by brute force over all pairs: `t` is NN when a
+/// tuple that covers it k′-dominates it, SN when only other tuples do,
+/// and SS when none does. Coverage is spelled out from the join kind,
+/// independently of `JoinContext`'s coverer slices: the same group for
+/// an equality join, every tuple for a Cartesian product, and for a theta
+/// join every tuple whose key is at least as permissive (Sec. 6.6).
+fn oracle_categories(cx: &JoinContext<'_>, left: bool, k: usize) -> Vec<Category> {
+    let rel = if left { cx.left() } else { cx.right() };
+    let row = |t: usize| -> Vec<f64> {
+        (0..rel.d())
+            .map(|a| rel.value(TupleId(t as u32), a))
+            .collect()
+    };
+    let covers = |c: usize, t: usize| {
+        let (c, t) = (TupleId(c as u32), TupleId(t as u32));
+        match cx.spec() {
+            JoinSpec::Equality => rel.group_id(c) == rel.group_id(t),
+            JoinSpec::Cartesian => true,
+            JoinSpec::Theta(op) => {
+                let (kc, kt) = (rel.numeric_key(c).unwrap(), rel.numeric_key(t).unwrap());
+                // Under `<`/`≤` a smaller left key or a larger right key
+                // joins with more tuples; under `>`/`≥` the reverse.
+                if matches!(op, ThetaOp::Lt | ThetaOp::Le) == left {
+                    kc <= kt
+                } else {
+                    kc >= kt
+                }
+            }
+        }
+    };
+    (0..rel.n())
+        .map(|t| {
+            let mut cat = Category::SS;
+            for c in (0..rel.n()).filter(|&c| k_dominates(&row(c), &row(t), k)) {
+                if covers(c, t) {
+                    return Category::NN;
+                }
+                cat = Category::SN;
+            }
+            cat
+        })
+        .collect()
+}
+
+/// Classify `cx` at every valid `k` and 1–3 threads against the oracle,
+/// and check monotonicity in `k`: raising `k′` can only shrink what is
+/// dominated, so SS grows and NN shrinks. Returns the SN count seen.
+fn check_classification(cx: &JoinContext<'_>, label: &str) -> usize {
+    let mut sn = 0;
+    let mut prev: Option<(Vec<Category>, Vec<Category>)> = None;
+    for k in k_min(cx)..=k_max(cx) {
+        let p = validate_k(cx, k).unwrap();
+        let want = (
+            oracle_categories(cx, true, p.k1_prime),
+            oracle_categories(cx, false, p.k2_prime),
+        );
+        for threads in 1..=3 {
+            let cls = classify_parallel(cx, &p, KdomAlgo::Tsa, threads);
+            assert_eq!(cls.left, want.0, "{label} k={k} threads={threads} left");
+            assert_eq!(cls.right, want.1, "{label} k={k} threads={threads} right");
+        }
+        if let Some((pl, pr)) = &prev {
+            for (before, after) in [(pl, &want.0), (pr, &want.1)] {
+                for (t, (&b, &a)) in before.iter().zip(after).enumerate() {
+                    assert!(
+                        b != Category::SS || a == Category::SS,
+                        "{label} k={k}: tuple {t} left SS"
+                    );
+                    assert!(
+                        a != Category::NN || b == Category::NN,
+                        "{label} k={k}: tuple {t} became NN"
+                    );
+                }
+            }
+        }
+        sn += want
+            .0
+            .iter()
+            .chain(&want.1)
+            .filter(|&&c| c == Category::SN)
+            .count();
+        prev = Some(want);
+    }
+    sn
+}
+
+/// An anti-correlated relation whose values are snapped to a grid of 16
+/// steps, so every attribute ties often, keyed for `keys`. Anti-correlated
+/// rows are rarely dominated, so many tuples outlast the plain scan's
+/// budget and are settled through the prefix lists.
+fn anti_with_ties(seed: u64, n: usize, keys: Keys) -> Relation {
+    let spec = DatasetSpec {
+        n,
+        agg_attrs: 2,
+        local_attrs: 4,
+        groups: 1,
+        data_type: DataType::AntiCorrelated,
+        seed,
+    };
+    let base = spec.generate();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut b = Relation::builder(Schema::uniform_agg(2, 4).unwrap());
+    for t in 0..n {
+        let row: Vec<f64> = (0..6)
+            .map(|a| (base.value(TupleId(t as u32), a) * 16.0).floor())
+            .collect();
+        match keys {
+            Keys::Groups(lo, hi) => b.add_grouped(rng.gen_range(lo..hi), &row).unwrap(),
+            Keys::Numeric => b.add_keyed(rng.gen_range(0..8) as f64, &row).unwrap(),
+            Keys::None => b.add(&row).unwrap(),
+        };
+    }
+    b.build().unwrap()
+}
+
+#[test]
+fn classification_matches_definitions() {
+    let mut sn = 0;
+    for a in 0..=2 {
+        let layouts = [
+            ("one-sided groups", Keys::Groups(0, 6), Keys::Groups(3, 9)),
+            ("all-in-one", Keys::Groups(0, 1), Keys::Groups(0, 1)),
+            ("singletons", Keys::Groups(0, 200), Keys::Groups(0, 200)),
+        ];
+        for (layout, lkeys, rkeys) in layouts {
+            for (variant, shape) in variants(a, lkeys, 36) {
+                let r1 = relation(11 + a as u64, shape);
+                let r2 = relation(
+                    23 + a as u64,
+                    Shape {
+                        keys: rkeys,
+                        ..shape
+                    },
+                );
+                let cx = JoinContext::new(&r1, &r2, JoinSpec::Equality, &aggs(a)).unwrap();
+                sn += check_classification(&cx, &format!("equality a={a} {layout} {variant}"));
+            }
+        }
+        for op in [ThetaOp::Lt, ThetaOp::Le, ThetaOp::Gt, ThetaOp::Ge] {
+            for (variant, shape) in variants(a, Keys::Numeric, 28) {
+                let r1 = relation(31 + a as u64, shape);
+                let r2 = relation(47 + a as u64, shape);
+                let cx = JoinContext::new(&r1, &r2, JoinSpec::Theta(op), &aggs(a)).unwrap();
+                sn += check_classification(&cx, &format!("theta {op} a={a} {variant}"));
+            }
+        }
+        for (variant, shape) in variants(a, Keys::None, 24) {
+            let r1 = relation(53 + a as u64, shape);
+            let r2 = relation(71 + a as u64, shape);
+            let cx = JoinContext::new(&r1, &r2, JoinSpec::Cartesian, &aggs(a)).unwrap();
+            check_classification(&cx, &format!("cartesian a={a} {variant}"));
+        }
+    }
+    let large = [
+        ("all-in-one", JoinSpec::Equality, Keys::Groups(0, 1)),
+        ("ten groups", JoinSpec::Equality, Keys::Groups(0, 10)),
+        ("theta <", JoinSpec::Theta(ThetaOp::Lt), Keys::Numeric),
+        ("theta ≥", JoinSpec::Theta(ThetaOp::Ge), Keys::Numeric),
+        ("cartesian", JoinSpec::Cartesian, Keys::None),
+    ];
+    for (label, spec, keys) in large {
+        let r1 = anti_with_ties(5, 300, keys);
+        let r2 = anti_with_ties(6, 300, keys);
+        let cx = JoinContext::new(&r1, &r2, spec, &aggs(2)).unwrap();
+        sn += check_classification(&cx, &format!("anti-correlated with ties, {label}"));
+    }
+    assert!(
+        sn > 0,
+        "no SN tuple: the coverer scans were never told apart"
     );
 }
